@@ -232,6 +232,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("n must be a positive integer")
     if cfg.k < 0:
         raise ConfigError("k must be nonnegative")
+    if cfg.k == 0 and cfg.model.atoms:
+        raise ConfigError("k must be at least 1 when the model has atoms")
     if cfg.trials < 1:
         raise ConfigError("trials must be a positive integer")
     if cfg.starts < 1:

@@ -23,7 +23,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .complexity import PredictionReport, predictions
 from .config import RunConfig, resolve_threads
 from .errors import SearchFailureError
-from .field_sampler import FieldRealization, eval_hamiltonian, sample_field
+from .field_sampler import FieldRealization, _evaluate, eval_hamiltonian, sample_field
 from .rmt import SemicircleLaw, SpectrumSample, bl_distance
 
 __all__ = [
@@ -42,6 +42,8 @@ INDEX_EIGENVALUE_THRESHOLD = -1e-8
 AGREEMENT_TOL = 1e-6
 # census points must re-verify to this gradient norm times sqrt(N)
 CENSUS_VERIFY_TOL = 1e-9
+# rungs of the Cholesky shift ladder: 0, then 1e-10 * scale * 2^j
+SHIFT_RUNGS = 60
 
 # calibrated at desk scale (N around 200, K = 8192, 50 trials); the limit
 # statements carry no convergence rates, so these are not derived quantities
@@ -63,6 +65,7 @@ class CriticalPointRecord:
     index: int
     lambda_min: float
     corroborated: bool = False
+    eigenvalues: Optional[np.ndarray] = None  # Hessian spectrum, ascending
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,24 +111,45 @@ def _uniform_ball(rng: np.random.Generator, n: int, radius: float) -> np.ndarray
     return direction / norm * radius * float(rng.uniform()) ** (1.0 / n)
 
 
-def _descent_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Newton direction from a positive-definite modification of the Hessian."""
+def _descent_step(hess: np.ndarray, grad: np.ndarray, rung: int = 0) -> tuple[np.ndarray, int]:
+    """Newton direction from a positive-definite modification of the Hessian.
+
+    The shift tau is the lowest rung of the ladder 0, 1e-10*scale*2^j
+    (j < SHIFT_RUNGS - 1) at which Cholesky succeeds (modified Cholesky,
+    Nocedal & Wright sec. 3.4).  Success is monotone in tau, so that rung is
+    found by one probe at ``rung``, the previous step's rung, and bisection
+    of the side it leaves open: the same tau as walking the ladder up from
+    0, in at most 1 + log2(SHIFT_RUNGS + 1) factorizations.  Returns
+    (direction, rung); the rung is SHIFT_RUNGS when every shift failed and
+    the direction is the fallback -grad/scale.
+    """
+    n = hess.shape[0]
     scale = float(np.abs(hess).max()) or 1.0
-    tau = 0.0
-    for _ in range(60):
+    if not math.isfinite(scale):
+        return -grad / scale, SHIFT_RUNGS  # no shift repairs a non-finite Hessian
+
+    def factor(j):
+        tau = 0.0 if j == 0 else 1e-10 * scale * 2.0 ** (j - 1)
         try:
-            fac = cho_factor(hess + tau * np.eye(hess.shape[0]), check_finite=False)
-            return -cho_solve(fac, grad, check_finite=False)
-        except np.linalg.LinAlgError:
-            tau = max(2.0 * tau, 1e-10 * scale)
-        except ValueError:
-            tau = max(2.0 * tau, 1e-10 * scale)
-    return -grad / scale  # fully regularized fallback
+            return cho_factor(hess + tau * np.eye(n), check_finite=False)
+        except (np.linalg.LinAlgError, ValueError):
+            return None
 
-
-def _value_at(field, mu, x) -> float:
-    """H(x) alone, for line-search probes that do not need derivatives."""
-    return field.field_value(x) + 0.5 * mu * float(x @ x)
+    # rung lo fails and rung hi succeeds with factor fac; the sentinels
+    # lo = -1 and hi = SHIFT_RUNGS (the fallback) bracket every rung, and the
+    # first probe at the previous rung closes one side of the bracket
+    lo, hi, fac = -1, SHIFT_RUNGS, None
+    j = min(rung, SHIFT_RUNGS - 1)
+    while hi - lo > 1:
+        f = factor(j)
+        if f is None:
+            lo = j
+        else:
+            hi, fac = j, f
+        j = (lo + hi) // 2
+    if fac is None:
+        return -grad / scale, hi  # fully regularized fallback
+    return -cho_solve(fac, grad, check_finite=False), hi
 
 
 def _minimize_from(field, mu, x0, grad_tol, max_iter=200):
@@ -137,11 +161,12 @@ def _minimize_from(field, mu, x0, grad_tol, max_iter=200):
     # |grad| is small enough that the full Newton step is trustworthy we
     # switch merit to the gradient norm, which has no such floor.
     endgame = max(1e-4 * math.sqrt(field.n), 1e3 * grad_tol)
+    rung = 0
     for _ in range(max_iter):
         gn = float(np.linalg.norm(ev.gradient))
         if gn <= grad_tol:
             return x, ev, True
-        step = _descent_step(ev.hessian, ev.gradient)
+        step, rung = _descent_step(ev.hessian, ev.gradient, rung)
         if gn <= endgame:
             x_new = x + step
             ev_new = eval_hamiltonian(field, mu, x_new)
@@ -157,7 +182,8 @@ def _minimize_from(field, mu, x0, grad_tol, max_iter=200):
         accepted = False
         for _ in range(50):
             x_new = x + t * step
-            if _value_at(field, mu, x_new) <= ev.value + 1e-4 * t * slope:
+            value = field.field_value(x_new) + 0.5 * mu * float(x_new @ x_new)
+            if value <= ev.value + 1e-4 * t * slope:
                 x, ev = x_new, eval_hamiltonian(field, mu, x_new)
                 accepted = True
                 break
@@ -165,31 +191,6 @@ def _minimize_from(field, mu, x0, grad_tol, max_iter=200):
         if not accepted:
             break  # line search exhausted; report whatever precision we reached
     return x, ev, float(np.linalg.norm(ev.gradient)) <= grad_tol
-
-
-def _batch_gradients(field, mu, xs: np.ndarray) -> np.ndarray:
-    """Gradients of H at a batch of points, one GEMM for the whole batch."""
-    if field.w.size:
-        t = xs @ field.w.T + field.phases
-        g = -(np.sin(t) * field.amplitudes) @ field.w
-    else:
-        g = np.zeros_like(xs)
-    return g + field.xi + mu * xs
-
-
-def _batch_hessians(field, mu, xs: np.ndarray) -> np.ndarray:
-    """Hessians of H at a batch of points (per-point GEMM, small n)."""
-    s, n = xs.shape
-    out = np.empty((s, n, n))
-    if field.w.size:
-        t = xs @ field.w.T + field.phases
-        c = np.cos(t) * field.amplitudes
-        for i in range(s):
-            out[i] = -(field.w.T * c[i]) @ field.w
-    else:
-        out[:] = 0.0
-    out[:, np.arange(n), np.arange(n)] += mu
-    return out
 
 
 def _newton_root_batch(field, mu, x0s, grad_tol, step_cap, max_iter=100):
@@ -203,7 +204,7 @@ def _newton_root_batch(field, mu, x0s, grad_tol, step_cap, max_iter=100):
     """
     xs = np.array(x0s, dtype=float)
     s = xs.shape[0]
-    gs = _batch_gradients(field, mu, xs)
+    _, gs, _ = _evaluate(field, mu, xs, gradient=True)
     gn = np.linalg.norm(gs, axis=1)
     active = np.ones(s, dtype=bool)
     t_warm = np.ones(s)  # last useful step length per start
@@ -218,7 +219,7 @@ def _newton_root_batch(field, mu, x0s, grad_tol, step_cap, max_iter=100):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        hs = _batch_hessians(field, mu, xs[idx])
+        _, _, hs = _evaluate(field, mu, xs[idx], hessian=True)
         try:
             steps = np.linalg.solve(hs, -gs[idx][:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -247,7 +248,7 @@ def _newton_root_batch(field, mu, x0s, grad_tol, step_cap, max_iter=100):
                 break
             rows = idx[trying]
             x_new = xs[rows] + t[trying, None] * steps[trying]
-            g_new = _batch_gradients(field, mu, x_new)
+            _, g_new, _ = _evaluate(field, mu, x_new, gradient=True)
             gn_new = np.linalg.norm(g_new, axis=1)
             accept = gn_new <= (1.0 - 1e-4 * t[trying]) * gn[rows]
             acc_rows = rows[accept]
@@ -272,6 +273,7 @@ def _point_record(x: np.ndarray, ev, n: int, corroborated: bool) -> CriticalPoin
         index=int(np.count_nonzero(eigs < INDEX_EIGENVALUE_THRESHOLD)),
         lambda_min=float(eigs[0]),
         corroborated=corroborated,
+        eigenvalues=eigs,
     )
 
 
@@ -396,9 +398,7 @@ def _measure_trial(cfg: RunConfig, model, law, trial_id: int, with_census: bool)
     except SearchFailureError as exc:
         wall = (time.perf_counter() - t0) * 1e3
         return _failed_trial(trial_id, seed, cfg, wall, f"search failure: {exc}")
-    ev = eval_hamiltonian(field, cfg.mu, best.x)
-    eigs = np.linalg.eigvalsh(ev.hessian)
-    spectrum = SpectrumSample(n=cfg.n, eigenvalues=eigs, method="dense", seed=seed)
+    spectrum = SpectrumSample(n=cfg.n, eigenvalues=best.eigenvalues, method="dense", seed=seed)
     if law is not None:
         bl = float(bl_distance(spectrum, law, resolution=cfg.tolerances.bl_resolution))
     else:
@@ -414,7 +414,7 @@ def _measure_trial(cfg: RunConfig, model, law, trial_id: int, with_census: bool)
         energy_per_n=best.value_per_n,
         radius_per_sqrt_n=float(np.linalg.norm(best.x)) / math.sqrt(cfg.n),
         spectrum=spectrum,
-        lambda_min=float(eigs[0]),
+        lambda_min=best.lambda_min,
         bl_to_prediction=bl,
         census=census_points,
         wall_time_ms=wall,

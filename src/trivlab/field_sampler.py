@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 
 from .errors import IllConditionedCovarianceError
 from .structure_functions import LrcStructure, SrcCorrelator, eval_lrc, eval_src
@@ -60,26 +62,29 @@ class FieldRealization:
     g0: float
     seed: int
 
+    @cached_property
+    def _offset(self) -> float:
+        """Constant term of X: g0, minus sum_k s_k cos(phi_k) for LRC fields.
+
+        The feature sum at the origin is formed by the same row-times-vector
+        product as in ``_evaluate``, so an LRC field is 0 at x = 0 bit-exactly.
+        """
+        if self.kind != "lrc":
+            return self.g0
+        return self.g0 - float((np.cos(self.phases[None, :]) @ self.amplitudes)[0])
+
     def field_value(self, x) -> float:
         """X(x) without the confinement term."""
-        x = np.asarray(x, dtype=float)
-        t = self.w @ x + self.phases
-        val = float(self.amplitudes @ np.cos(t)) + float(self.xi @ x) + self.g0
-        if self.kind == "lrc":
-            val -= float(self.amplitudes @ np.cos(self.phases))
-        return val
+        value, _, _ = _evaluate(self, 0.0, _one_point(x), value=True)
+        return float(value[0])
 
     def field_gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        t = self.w @ x + self.phases
-        return self.xi - (self.amplitudes * np.sin(t)) @ self.w
+        _, gradient, _ = _evaluate(self, 0.0, _one_point(x), gradient=True)
+        return gradient[0]
 
     def field_hessian(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        t = self.w @ x + self.phases
-        g = -((self.amplitudes * np.cos(t))[:, None] * self.w).T @ self.w
-        # commutative additions make the symmetrization bit-exact
-        return 0.5 * (g + g.T)
+        _, _, hessian = _evaluate(self, 0.0, _one_point(x), hessian=True)
+        return hessian[0]
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,7 @@ def sample_field(model, n: int, k: int = 4096, seed: int = 0) -> FieldRealizatio
 def eval_hamiltonian(field: FieldRealization, mu: float, x) -> HamiltonianEval:
     """Evaluate H = X + (mu/2)|x|^2 with analytic gradient and Hessian.
 
-    The Hessian is exactly symmetric (symmetrized rank-one sum plus mu on
+    The Hessian is exactly symmetric (a symmetric rank-K update plus mu on
     the diagonal).
     """
     mu = float(mu)
@@ -172,11 +177,89 @@ def eval_hamiltonian(field: FieldRealization, mu: float, x) -> HamiltonianEval:
         raise ValueError(f"x must have shape ({field.n},), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
-    value = field.field_value(x) + 0.5 * mu * float(x @ x)
-    gradient = field.field_gradient(x) + mu * x
-    hessian = field.field_hessian(x)
-    hessian[np.diag_indices(field.n)] += mu
-    return HamiltonianEval(value=value, gradient=gradient, hessian=hessian)
+    value, gradient, hessian = _evaluate(field, mu, x[None, :],
+                                         value=True, gradient=True, hessian=True)
+    return HamiltonianEval(value=float(value[0]), gradient=gradient[0], hessian=hessian[0])
+
+
+def _one_point(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).reshape(1, -1)
+
+
+def _evaluate(field: FieldRealization, mu: float, xs: np.ndarray, *,
+              value: bool = False, gradient: bool = False, hessian: bool = False):
+    """Value, gradient and Hessian of H = X + (mu/2)|x|^2 at each row of xs.
+
+    The one place the feature sum is evaluated: the (S, K) phase matrix
+    xs @ w.T + phases is formed once, and each requested part takes only
+    the transcendentals it needs.  Returns (values (S,), gradients (S, N),
+    Hessians (S, N, N)), with None for each part not asked for.
+    """
+    xs = np.asarray(xs, dtype=float)
+    phase = xs @ field.w.T
+    phase += field.phases
+    values = gradients = hessians = None
+    # the last transcendental taken overwrites the phases in place
+    if value or hessian:
+        weights = np.cos(phase, out=None if gradient else phase)
+    if gradient:
+        sines = np.sin(phase, out=phase)
+        sines *= field.amplitudes
+        gradients = field.xi - sines @ field.w
+        gradients += mu * xs
+    if value:
+        values = weights @ field.amplitudes + xs @ field.xi
+        values += field._offset
+        values += 0.5 * mu * np.einsum("ij,ij->i", xs, xs)
+    if hessian:
+        weights *= field.amplitudes
+        hessians = _hessians(field.w, weights)
+        diag = np.arange(field.n)
+        hessians[:, diag, diag] += mu
+    return values, gradients, hessians
+
+
+def _hessians(w: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """-sum_k c_k w_k w_k^T for each row c of the (S, K) weights.
+
+    When the batch has at least N(N+1)/2 points, one GEMM against the
+    (K, N(N+1)/2) table of feature outer products does them all; the table
+    is then no larger than the weights.  Smaller batches take the split-sign
+    symmetric rank-K update per point.  Both fill the two triangles from the
+    same numbers, so every Hessian is exactly symmetric.
+    """
+    s = weights.shape[0]
+    n = w.shape[1]
+    if n * (n + 1) // 2 > s:
+        return np.stack([_syrk_hessian(w, c) for c in weights])
+    rows, cols = np.triu_indices(n)
+    out = np.empty((s, n, n))
+    packed = weights @ (w[:, rows] * w[:, cols])
+    np.negative(packed, out=packed)
+    out[:, rows, cols] = packed
+    out[:, cols, rows] = packed
+    return out
+
+
+def _syrk_hessian(w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """-sum_k c_k w_k w_k^T as two symmetric rank-K updates (BLAS dsyrk).
+
+    Features with c_k < 0 add |c_k| w_k w_k^T and the rest subtract it.
+    Each half's rows are copied and scaled by sqrt(|c_k|) in place, one
+    half alive at a time; dsyrk fills the lower triangle, which is then
+    mirrored.
+    """
+    n = w.shape[1]
+    neg = c < 0.0
+    hess = np.zeros((n, n), order="F")
+    for sign, mask in ((1.0, neg), (-1.0, ~neg)):
+        half = w[mask]
+        half *= np.sqrt(np.abs(c[mask]))[:, None]
+        hess = dsyrk(sign, half.T, beta=1.0, c=hess, lower=1, overwrite_c=1)
+        del half
+    upper = np.triu_indices(n, 1)
+    hess[upper] = hess.T[upper]
+    return hess
 
 
 def _pairwise_sq_dists(pts: np.ndarray) -> np.ndarray:

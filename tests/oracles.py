@@ -109,3 +109,33 @@ def lrc_conditional_moment_oracle(model, eval_lrc, mu, rho, u):
         "mY": mY,
         "sigmaY_sq_times_N": varY_N,
     }
+
+
+def dense_field_hessian(field, x):
+    """Hessian of the feature sum at x as one dense product.
+
+    -(sum_k s_k cos(w_k . x + phi_k) w_k w_k^T), formed as a scaled copy of
+    the (K, N) feature matrix times its transpose and then symmetrized.
+    """
+    x = np.asarray(x, dtype=float)
+    c = field.amplitudes * np.cos(field.w @ x + field.phases)
+    g = -(c[:, None] * field.w).T @ field.w
+    return 0.5 * (g + g.T)
+
+
+def linear_shift_ladder(hess, grad, cho_factor, cho_solve):
+    """Newton direction with the Cholesky shift found by walking the ladder.
+
+    Tries tau = 0, then 1e-10*scale*2^j for j = 0, 1, ..., 58 in order and
+    returns (direction, rung) at the first success, or the -grad/scale
+    fallback with rung 60.
+    """
+    scale = float(np.abs(hess).max()) or 1.0
+    tau = 0.0
+    for rung in range(60):
+        try:
+            fac = cho_factor(hess + tau * np.eye(hess.shape[0]), check_finite=False)
+            return -cho_solve(fac, grad, check_finite=False), rung
+        except (np.linalg.LinAlgError, ValueError):
+            tau = max(2.0 * tau, 1e-10 * scale)
+    return -grad / scale, 60

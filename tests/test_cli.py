@@ -113,6 +113,12 @@ class TestPredict:
         res = runner.invoke(main, ["predict", "--config", str(tmp_path / "none.yaml")])
         assert res.exit_code == 2
 
+    def test_zero_features_with_atoms_exit_2(self, runner, tmp_path):
+        cfg_path, _ = write_cfg(tmp_path, SRC_YAML.replace("k: 512", "k: 0"))
+        res = runner.invoke(main, ["simulate", "--config", cfg_path])
+        assert res.exit_code == 2
+        assert "k must be at least 1" in res.output
+
 
 class TestSimulate:
     HEADER = ("trial_id,seed,N,K,mu,model,energy_per_n,radius_per_sqrt_n,"

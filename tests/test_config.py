@@ -84,6 +84,7 @@ class TestParsing:
         "mu: zero",
         "n: 0",
         "k: -4",
+        "k: 0",
         "trials: 0",
         "starts: 0",
         "seed: -1",
@@ -104,6 +105,10 @@ class TestParsing:
     def test_invalid_values_rejected(self, snippet):
         with pytest.raises(ConfigError):
             parse_config(snippet)
+
+    def test_zero_features_need_a_featureless_model(self):
+        cfg = parse_config("model:\n  kind: src\n  atoms: []\nk: 0")
+        assert cfg.k == 0 and cfg.model.atoms == ()
 
     def test_parse_errors_name_the_field(self):
         with pytest.raises(ConfigError, match="atoms"):

@@ -7,7 +7,10 @@ import pytest
 from trivlab.complexity import predictions
 from trivlab.config import ModelConfig, RunConfig
 from trivlab.errors import SearchFailureError
+import trivlab.experiments as experiments
 from trivlab.experiments import (
+    SHIFT_RUNGS,
+    _descent_step,
     aggregate,
     census,
     minimize,
@@ -16,6 +19,8 @@ from trivlab.experiments import (
 )
 from trivlab.field_sampler import eval_hamiltonian, sample_field
 from trivlab.structure_functions import SrcCorrelator
+
+from oracles import linear_shift_ladder
 
 SRC = SrcCorrelator()
 
@@ -135,6 +140,40 @@ class TestRunTrials:
         for x, y in zip(serial, pooled):
             assert x.energy_per_n == y.energy_per_n
             assert x.radius_per_sqrt_n == y.radius_per_sqrt_n
+            np.testing.assert_array_equal(x.spectrum.eigenvalues, y.spectrum.eigenvalues)
+            assert x.lambda_min == y.lambda_min
+            assert x.bl_to_prediction == y.bl_to_prediction
+
+    def test_threads_do_not_change_census(self):
+        cfg = dataclasses.replace(self.CFG, n=6, k=512, mu=1.0, starts=300, trials=3)
+        serial = run_census_trials(dataclasses.replace(cfg, threads=1))
+        pooled = run_census_trials(dataclasses.replace(cfg, threads=3))
+        for x, y in zip(serial, pooled):
+            assert len(x.census) == len(y.census) >= 1
+            for p, q in zip(x.census, y.census):
+                np.testing.assert_array_equal(p.x, q.x)
+                assert p.index == q.index
+                assert p.value_per_n == q.value_per_n
+                assert p.lambda_min == q.lambda_min
+
+    def test_spectrum_reuses_the_minimum_hessian(self, monkeypatch):
+        cfg = dataclasses.replace(self.CFG, trials=1)
+        field = sample_field(SRC, cfg.n, cfg.k, cfg.seed)
+        best = minimize(field, cfg.mu, cfg.starts, cfg.seed)
+        points = []
+        real = experiments.eval_hamiltonian
+
+        def recorded(field, mu, x):
+            points.append(np.array(x))
+            return real(field, mu, x)
+
+        monkeypatch.setattr(experiments, "eval_hamiltonian", recorded)
+        r = run_trials(cfg)[0]
+        # the minimum's Hessian is evaluated once, by the search
+        assert sum(np.array_equal(p, best.x) for p in points) == 1
+        expected = np.linalg.eigvalsh(eval_hamiltonian(field, cfg.mu, best.x).hessian)
+        np.testing.assert_array_equal(r.spectrum.eigenvalues, expected)
+        assert r.lambda_min == expected[0]
 
     def test_census_trials_populate_census(self):
         cfg = dataclasses.replace(self.CFG, n=6, k=512, mu=1.0, starts=300, trials=2)
@@ -226,3 +265,60 @@ class TestSearchRobustness:
         field = small_field(n=8, k=256)
         with pytest.raises(SearchFailureError):
             minimize(field, 3.0, n_starts=1, seed=0, grad_tol=1e-300)
+
+
+class TestDescentStep:
+    """The bisected shift search against walking the shift ladder from 0."""
+
+    N = 30
+
+    def hessian(self, lam_min_over_scale):
+        rng = np.random.default_rng(17)
+        q, _ = np.linalg.qr(rng.standard_normal((self.N, self.N)))
+        eigs = np.linspace(1.0, 10.0, self.N)
+        eigs[0] = lam_min_over_scale * 10.0
+        hess = (q * eigs) @ q.T
+        return 0.5 * (hess + hess.T)
+
+    def cases(self):
+        nan = self.hessian(0.5)
+        nan[3, 7] = nan[7, 3] = np.nan
+        return {
+            "positive_definite": self.hessian(0.5),
+            "slightly_indefinite": self.hessian(-1e-6),
+            "strongly_indefinite": self.hessian(-1.0),
+            "nan_entry": nan,
+        }
+
+    def test_same_direction_and_rung_as_the_ladder(self, monkeypatch):
+        grad = np.random.default_rng(18).standard_normal(self.N)
+        real = experiments.cho_factor
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "cho_factor", counted)
+        # one probe at the hint, then bisection of the 60 rungs it leaves
+        # open; walking the ladder from 0 takes want_rung + 1 instead
+        bound = 1 + math.ceil(math.log2(SHIFT_RUNGS + 1))
+        rungs = {}
+        for name, hess in self.cases().items():
+            want, rungs[name] = linear_shift_ladder(hess, grad, real, experiments.cho_solve)
+            for hint in (0, 1, 17, 33, SHIFT_RUNGS - 1, SHIFT_RUNGS):
+                calls[0] = 0
+                got, rung = _descent_step(hess, grad, hint)
+                np.testing.assert_array_equal(got, want, err_msg=f"{name}, hint {hint}")
+                assert calls[0] <= bound, (name, hint)
+                if name != "nan_entry":
+                    assert rung == rungs[name], (name, hint)
+                if name == "positive_definite" and hint == 0:
+                    assert calls[0] == 1
+        assert rungs["positive_definite"] == 0
+        assert 0 < rungs["slightly_indefinite"] < rungs["strongly_indefinite"] < SHIFT_RUNGS
+        # a NaN Hessian ends in the fallback without a factorization
+        calls[0] = 0
+        got, rung = _descent_step(self.cases()["nan_entry"], grad)
+        assert rung == SHIFT_RUNGS and calls[0] == 0
+        assert np.isnan(got).all()

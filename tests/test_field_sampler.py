@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,9 +14,9 @@ from trivlab import (
     exact_sample_on_points,
     sample_field,
 )
-from trivlab.field_sampler import covariance_on_points
+from trivlab.field_sampler import _evaluate, covariance_on_points
 
-from oracles import lrc_pointwise_covariance
+from oracles import dense_field_hessian, lrc_pointwise_covariance
 
 DEFAULT_SRC = SrcCorrelator()          # B(r) = exp(-r)
 DEFAULT_LRC = LrcStructure()           # D(r) = 0.5 r + 1 - exp(-r)
@@ -339,3 +340,63 @@ def test_exact_matches_features_in_distribution():
     stat = stats.ks_2samp(feats, exact).statistic
     crit = 1.628 * math.sqrt(2.0 / reps)
     assert stat < crit
+
+
+# ------------------------------------------------------- Hessian assembly
+
+def _hessian_tol(reference):
+    return 1e-12 * (1.0 + np.abs(reference).max())
+
+
+@pytest.mark.parametrize("model", [DEFAULT_SRC, DEFAULT_LRC], ids=["src", "lrc"])
+def test_single_point_hessian_matches_dense_oracle(model):
+    # one point takes the split-sign rank-K update path
+    f = sample_field(model, 40, 2048, seed=31)
+    x = np.random.default_rng(32).standard_normal(40)
+    hess = f.field_hessian(x)
+    ref = dense_field_hessian(f, x)
+    assert (hess == hess.T).all()
+    assert np.abs(hess - ref).max() <= _hessian_tol(ref)
+    full = eval_hamiltonian(f, 1.5, x).hessian
+    np.testing.assert_array_equal(full, hess + 1.5 * np.eye(40))
+
+
+def test_batched_hessians_match_oracle_and_single_points():
+    # 100 points >= N(N+1)/2 = 21 take the outer-product table path
+    f = sample_field(DEFAULT_SRC, 6, 1024, seed=33)
+    xs = np.random.default_rng(34).standard_normal((100, 6))
+    _, grads, hessians = _evaluate(f, 2.0, xs, gradient=True, hessian=True)
+    for x, g, hess in zip(xs, grads, hessians):
+        assert (hess == hess.T).all()
+        ref = dense_field_hessian(f, x) + 2.0 * np.eye(6)
+        assert np.abs(hess - ref).max() <= _hessian_tol(ref)
+        single = eval_hamiltonian(f, 2.0, x)
+        assert np.abs(hess - single.hessian).max() <= _hessian_tol(ref)
+        np.testing.assert_allclose(g, single.gradient, rtol=0.0,
+                                   atol=1e-12 * (1.0 + np.abs(g).max()))
+
+
+def test_hessian_with_cos_weights_of_one_sign():
+    # all features in phase at x = 0: every cos weight is positive (then all
+    # negative at the antipodal phase), so one rank-K half is empty
+    n, k = 5, 64
+    f = sample_field(DEFAULT_SRC, n, k, seed=35)
+    for phase in (0.0, math.pi):
+        g = dataclasses.replace(f, phases=np.full(k, phase))
+        x = np.zeros(n)
+        ref = dense_field_hessian(g, x)
+        hess = g.field_hessian(x)
+        assert (hess == hess.T).all()
+        assert np.abs(hess - ref).max() <= _hessian_tol(ref)
+        _, _, batch = _evaluate(g, 0.0, np.zeros((n * (n + 1) // 2, n)), hessian=True)
+        assert np.abs(batch - ref).max() <= _hessian_tol(ref)
+
+
+def test_featureless_field_hessian_is_the_confinement():
+    f = sample_field(SrcCorrelator(c0=1.0, atoms=()), 4, 16, seed=36)
+    assert f.k == 0
+    x = np.random.default_rng(37).standard_normal(4)
+    np.testing.assert_array_equal(eval_hamiltonian(f, 2.0, x).hessian, 2.0 * np.eye(4))
+    _, grads, hessians = _evaluate(f, 2.0, np.tile(x, (10, 1)), gradient=True, hessian=True)
+    np.testing.assert_array_equal(hessians, np.broadcast_to(2.0 * np.eye(4), (10, 4, 4)))
+    np.testing.assert_array_equal(grads, np.tile(2.0 * x, (10, 1)))
