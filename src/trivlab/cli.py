@@ -17,11 +17,17 @@ import sys
 
 import click
 
-from .complexity import expected_crt_mc, predictions, replica_residuals, replica_solve
-from .config import RunConfig, emit_config, parse_config_file
+from .complexity import (
+    CRT_MC_MIN_SAMPLES,
+    expected_crt_mc,
+    predictions,
+    replica_residuals,
+    replica_solve,
+)
+from .config import RunConfig, config_mapping, emit_config, parse_config_file
 from .errors import ConfigError, TrivlabError
-from .experiments import aggregate, run_census_trials, run_trials
-from .lrc_hessian import edge_tail
+from .experiments import CENSUS_MIN_STARTS, aggregate, run_census_trials, run_trials
+from .lrc_hessian import EDGE_MIN_TRIALS, edge_tail
 
 TRIALS_CSV_HEADER = (
     "trial_id,seed,N,K,mu,model,energy_per_n,radius_per_sqrt_n,"
@@ -165,7 +171,7 @@ def _write_failures(cfg: RunConfig, records) -> None:
 def _write_trials_outputs(cfg: RunConfig, records, csv_name: str, json_name: str) -> dict:
     report = predictions(cfg.model.build(), cfg.mu)
     summary = aggregate(records, report)
-    summary["config"] = yaml_free_config(cfg)
+    summary["config"] = config_mapping(cfg)
     csv_path = cfg.output.path(csv_name)
     _write_text(csv_path, "\n".join([TRIALS_CSV_HEADER] + _trial_rows(records)) + "\n")
     json_path = cfg.output.path(json_name)
@@ -174,25 +180,6 @@ def _write_trials_outputs(cfg: RunConfig, records, csv_name: str, json_name: str
     click.echo(f"wrote {csv_path}")
     click.echo(f"wrote {json_path}")
     return summary
-
-
-def yaml_free_config(cfg: RunConfig) -> dict:
-    """Config as plain JSON-ready data (for embedding in summaries)."""
-    return {
-        "model": {
-            "kind": cfg.model.kind,
-            "c0": cfg.model.c0,
-            "a": cfg.model.a,
-            "atoms": [list(p) for p in cfg.model.atoms],
-        },
-        "mu": cfg.mu,
-        "n": cfg.n,
-        "k": cfg.k,
-        "trials": cfg.trials,
-        "starts": cfg.starts,
-        "seed": cfg.seed,
-        "threads": cfg.threads,
-    }
 
 
 @main.command()
@@ -218,6 +205,8 @@ def simulate(config_path, seed):
 def census(config_path, seed):
     """Critical-point census trials: per-point CSV."""
     cfg = _load_config(config_path, seed)
+    if cfg.starts < CENSUS_MIN_STARTS:
+        raise ConfigError(f"census needs starts of at least {CENSUS_MIN_STARTS}")
     records = run_census_trials(cfg)
     rows = [CENSUS_CSV_HEADER]
     for r in records:
@@ -256,6 +245,8 @@ def census(config_path, seed):
 def count(config_path, seed):
     """Expected-critical-point table over the configured N grid."""
     cfg = _load_config(config_path, seed)
+    if cfg.samples < CRT_MC_MIN_SAMPLES:
+        raise ConfigError(f"count needs samples of at least {CRT_MC_MIN_SAMPLES}")
     model = cfg.model.build()
     rows = [COUNT_CSV_HEADER]
     for i, n in enumerate(cfg.n_grid):
@@ -304,6 +295,8 @@ def lrc_edge(config_path, seed):
     cfg = _load_config(config_path, seed)
     if cfg.model.kind != "lrc":
         raise ConfigError("lrc-edge requires model.kind: lrc")
+    if cfg.trials < EDGE_MIN_TRIALS:
+        raise ConfigError(f"lrc-edge needs trials of at least {EDGE_MIN_TRIALS}")
     model = cfg.model.build()
     rows = [EDGE_CSV_HEADER]
     for i, n in enumerate(cfg.n_grid):

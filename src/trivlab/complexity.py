@@ -44,6 +44,9 @@ logger = logging.getLogger(__name__)
 _SQRT2 = math.sqrt(2.0)
 _HALF_LOG2 = 0.5 * math.log(2.0)
 
+# fewest Monte Carlo samples expected_crt_mc accepts
+CRT_MC_MIN_SAMPLES = 100
+
 
 def phi(x):
     """Log-potential defect of the standard semicircle (radius sqrt(2)).
@@ -387,8 +390,8 @@ def expected_crt_mc(model, mu, n, n_samples, seed):
         raise ValueError("mu must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n_samples < 100:
-        raise ValueError("n_samples must be at least 100")
+    if n_samples < CRT_MC_MIN_SAMPLES:
+        raise ValueError(f"n_samples must be at least {CRT_MC_MIN_SAMPLES}")
     a, _sigma = _hessian_scales(model)
     am = mu / a
     # Saddle of -z^2/2 + n (x^2/2 + phi(x)) with x = am + z / sqrt(2 n):

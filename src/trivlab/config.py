@@ -23,6 +23,7 @@ __all__ = [
     "RunConfig",
     "parse_config",
     "parse_config_file",
+    "config_mapping",
     "emit_config",
     "resolve_threads",
 ]
@@ -254,9 +255,9 @@ def parse_config_file(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def emit_config(cfg: RunConfig) -> str:
-    """Serialize a RunConfig to YAML; parse_config inverts this exactly."""
-    doc = {
+def config_mapping(cfg: RunConfig) -> dict:
+    """Every field of a RunConfig as plain YAML- and JSON-ready data."""
+    return {
         "model": {
             "kind": cfg.model.kind,
             "c0": cfg.model.c0,
@@ -283,7 +284,11 @@ def emit_config(cfg: RunConfig) -> str:
             "prefix": cfg.output.prefix,
         },
     }
-    return yaml.safe_dump(doc, sort_keys=False)
+
+
+def emit_config(cfg: RunConfig) -> str:
+    """Serialize a RunConfig to YAML; parse_config inverts this exactly."""
+    return yaml.safe_dump(config_mapping(cfg), sort_keys=False)
 
 
 def resolve_threads(configured: Optional[int]) -> int:

@@ -44,6 +44,8 @@ AGREEMENT_TOL = 1e-6
 CENSUS_VERIFY_TOL = 1e-9
 # rungs of the Cholesky shift ladder: 0, then 1e-10 * scale * 2^j
 SHIFT_RUNGS = 60
+# fewest starts a census accepts
+CENSUS_MIN_STARTS = 10
 
 # calibrated at desk scale (N around 200, K = 8192, 50 trials); the limit
 # statements carry no convergence rates, so these are not derived quantities
@@ -322,8 +324,8 @@ def census(field: FieldRealization, mu: float, n_starts: int,
     n_starts).  Every retained point is re-verified to gradient norm
     1e-9*sqrt(N); completeness is heuristic.
     """
-    if n_starts < 10:
-        raise ValueError("n_starts must be at least 10")
+    if n_starts < CENSUS_MIN_STARTS:
+        raise ValueError(f"n_starts must be at least {CENSUS_MIN_STARTS}")
     n = field.n
     tol = grad_tol * math.sqrt(n)
     radius = _search_radius(field, mu)

@@ -9,10 +9,12 @@ matrix
 
 where the corner z1', the bulk shift z3' and the border xi are Gaussian
 with the closed-form constants computed by :func:`constants`.  The module
-samples G (dense at small N, eigen-data plus a secular arrowhead solve at
-large N), evaluates its determinant through the Schur complement, reduces
-the edge question to a tridiagonal model W, and runs the edge and
-second-moment experiments used to check the trivialization picture.
+samples G in the eigenbasis of G_** (tridiagonal GOE eigenvalues, border
+drawn there directly since its law is isotropic, one dense eigensolve of
+the resulting arrowhead), evaluates its determinant through the Schur
+complement, reduces the edge question to a tridiagonal model W, and runs
+the edge and second-moment experiments used to check the trivialization
+picture.
 
 Two sampling modes: with ``y=None`` the shift z3' fluctuates jointly with
 the corner (the unconditional model, used for conditional-law checks);
@@ -28,7 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import logsumexp
 
 from .complexity import predictions, psi_lrc_maximizer
@@ -36,10 +38,10 @@ from .errors import DegenerateConditioningError
 from .rmt import goe_eigenvalues
 from .structure_functions import LrcStructure, alpha_beta, conditioning_variance, eval_lrc
 
-DENSE_ASSEMBLY_MAX_N = 512
+# fewest draws edge_tail accepts
+EDGE_MIN_TRIALS = 50
 
 __all__ = [
-    "DENSE_ASSEMBLY_MAX_N",
     "LrcConditionalConstants",
     "BorderedHessianSample",
     "CornerConditional",
@@ -84,10 +86,11 @@ class CornerConditional:
 class BorderedHessianSample:
     """One draw of the bordered matrix G with its assembled spectrum.
 
-    ``xi`` is the border as drawn; ``xi_bulk_basis`` is the same border
-    expressed in the eigenbasis of G_** (identical array on the secular
-    path, where the border is drawn directly in that basis).  The
-    spectrum of G interlaces ``g_star_eigenvalues``.
+    ``xi`` is the border in the eigenbasis of G_**, where it is drawn
+    directly (its law is isotropic), and ``g_star_eigenvalues`` is G_** in
+    that basis.  G is then the arrowhead
+    [[z1p, xi^T], [xi, diag(g_star_eigenvalues)]], whose spectrum
+    interlaces ``g_star_eigenvalues``.
     """
 
     n: int
@@ -97,11 +100,9 @@ class BorderedHessianSample:
     z1p: float
     z3p: float
     xi: np.ndarray
-    xi_bulk_basis: np.ndarray
     goe_eigenvalues: np.ndarray
     g_star_eigenvalues: np.ndarray
     eigenvalues: np.ndarray
-    method: str
     pinned_y: float | None = None
 
     @property
@@ -198,45 +199,15 @@ def sample_corner_pairs(model, mu, rho, u, n: int, n_draws: int, seed: int):
     return _corner_core(c, -4.0 * d2_0, ab, float(rho), n, z)
 
 
-def _arrowhead_eigenvalues(z1p: float, border: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """All eigenvalues of [[z1p, b^T], [b, diag(d)]] by bisection on the secular equation.
-
-    d must be sorted ascending.  The secular function
-    f(t) = z1p - t - sum b_k^2 / (d_k - t) is strictly decreasing between
-    consecutive poles, so every bracket holds exactly one root.
-    """
-    b2 = border * border
-    active = b2 > 0.0
-    deflated = d[~active]
-    d_act = d[active]
-    b2_act = b2[active]
-    if d_act.size == 0:
-        return np.sort(np.concatenate([deflated, [z1p]]))
-    norm_b = math.sqrt(float(b2_act.sum()))
-    lo_bound = min(float(d_act[0]), z1p) - norm_b - 1.0
-    hi_bound = max(float(d_act[-1]), z1p) + norm_b + 1.0
-    lo = np.concatenate([[lo_bound], d_act])
-    hi = np.concatenate([d_act, [hi_bound]])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            fv = z1p - mid - (b2_act[None, :] / (d_act[None, :] - mid[:, None])).sum(axis=1)
-            take_lo = fv > 0.0
-            lo = np.where(take_lo, mid, lo)
-            hi = np.where(take_lo, hi, mid)
-    roots = 0.5 * (lo + hi)
-    return np.sort(np.concatenate([deflated, roots]))
-
-
-def sample_g(model, mu, rho, u, n: int, seed: int, y: float | None = None,
-             method: str | None = None) -> BorderedHessianSample:
+def sample_g(model, mu, rho, u, n: int, seed: int,
+             y: float | None = None) -> BorderedHessianSample:
     """Draw the bordered conditional Hessian and assemble its spectrum.
 
     With ``y=None`` the bulk shift z3' fluctuates jointly with the corner;
     with ``y`` given, z3' is pinned to y and the corner follows its
-    conditional law (the regime of the edge predictions).  ``method``
-    forces "dense" or "secular" assembly; the default switches at
-    n = DENSE_ASSEMBLY_MAX_N.
+    conditional law (the regime of the edge predictions).  The stream is
+    the corner normals, the border, then a tridiagonal GOE_{n-1}; the
+    spectrum is one dense eigensolve of the n x n arrowhead.
     """
     n = int(n)
     if n < 3:
@@ -244,14 +215,9 @@ def sample_g(model, mu, rho, u, n: int, seed: int, y: float | None = None,
     c = constants(model, mu, rho, u)
     d2_0 = eval_lrc(model, 0.0, 2)
     a2 = -4.0 * d2_0
-    sq_a2 = math.sqrt(a2)
     ab = c.alpha * c.beta
     if ab < 0.0:
         raise DegenerateConditioningError("alpha*beta is negative; the shift coupling is undefined")
-    if method is None:
-        method = "dense" if n <= DENSE_ASSEMBLY_MAX_N else "secular"
-    if method not in ("dense", "secular"):
-        raise ValueError(f"unknown method {method!r}")
 
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((1, 3))
@@ -263,26 +229,11 @@ def sample_g(model, mu, rho, u, n: int, seed: int, y: float | None = None,
         z1p = cc.a_bar + math.sqrt(cc.b_sq / n) * float(z[0, 0])
         z3p = float(y)
     xi = rng.standard_normal(n - 1) * math.sqrt(-2.0 * d2_0 / n)
-    bulk_scale = math.sqrt((n - 1) / n)
-
-    if method == "dense":
-        raw = rng.standard_normal((n - 1, n - 1))
-        m = (raw + raw.T) / (2.0 * math.sqrt(n - 1))
-        goe_vals, q = eigh(m)
-        xi_tilde = q.T @ xi
-        g = np.empty((n, n))
-        g[0, 0] = z1p
-        g[0, 1:] = xi
-        g[1:, 0] = xi
-        g[1:, 1:] = sq_a2 * (bulk_scale * m - z3p * np.eye(n - 1))
-        eigs = np.linalg.eigvalsh(g)
-    else:
-        goe_vals = goe_eigenvalues(n - 1, rng, method="tridiagonal")
-        xi_tilde = xi  # isotropic border: its law is basis-independent
-        g_star = sq_a2 * (bulk_scale * goe_vals - z3p)
-        eigs = _arrowhead_eigenvalues(z1p, xi_tilde, g_star)
-
-    g_star_vals = sq_a2 * (bulk_scale * goe_vals - z3p)
+    goe_vals = goe_eigenvalues(n - 1, rng, method="tridiagonal")
+    g_star = math.sqrt(a2) * (math.sqrt((n - 1) / n) * goe_vals - z3p)
+    arrow = np.diag(np.concatenate(([z1p], g_star)))
+    arrow[0, 1:] = xi
+    arrow[1:, 0] = xi
     return BorderedHessianSample(
         n=n,
         mu=float(mu),
@@ -291,11 +242,9 @@ def sample_g(model, mu, rho, u, n: int, seed: int, y: float | None = None,
         z1p=z1p,
         z3p=z3p,
         xi=xi,
-        xi_bulk_basis=np.asarray(xi_tilde),
-        goe_eigenvalues=np.asarray(goe_vals),
-        g_star_eigenvalues=g_star_vals,
-        eigenvalues=np.asarray(eigs),
-        method=method,
+        goe_eigenvalues=goe_vals,
+        g_star_eigenvalues=g_star,
+        eigenvalues=np.linalg.eigvalsh(arrow),
         pinned_y=None if y is None else float(y),
     )
 
@@ -316,7 +265,7 @@ def schur_det(sample: BorderedHessianSample) -> tuple[float, int]:
             stacklevel=2,
         )
     with np.errstate(divide="ignore", invalid="ignore"):
-        corr = sample.z1p - float(np.sum(sample.xi_bulk_basis**2 / g))
+        corr = sample.z1p - float(np.sum(sample.xi**2 / g))
         log_abs = float(np.sum(np.log(np.abs(g))) + np.log(abs(corr)))
     sign_bulk = -1 if int(np.count_nonzero(g < 0.0)) % 2 else 1
     if corr > 0.0:
@@ -358,8 +307,8 @@ def edge_tail(model, mu, n: int, trials: int, epsilon: float, seed: int) -> floa
     lambda_min(G) <= (c_l - r_l) - epsilon.  epsilon may be negative for
     sanity inversions (threshold above the bulk).
     """
-    if trials < 50:
-        raise ValueError("trials must be at least 50")
+    if trials < EDGE_MIN_TRIALS:
+        raise ValueError(f"trials must be at least {EDGE_MIN_TRIALS}")
     point, _ = psi_lrc_maximizer(model, mu)
     report = predictions(model, mu)
     threshold = report.lambda_edge - float(epsilon)

@@ -189,8 +189,7 @@ def _check_schur_dense(cfg: RunConfig, fast: bool) -> CheckResult:
     worst = 0.0
     draws = 8 if fast else 20
     for i in range(draws):
-        s = sample_g(model, 2.0, rep.rho_star, rep.u_star, 32, seed=cfg.seed + 300 + i,
-                     method="dense")
+        s = sample_g(model, 2.0, rep.rho_star, rep.u_star, 32, seed=cfg.seed + 300 + i)
         log_abs, _sign = schur_det(s)
         ev = s.eigenvalues
         dense_log = float(np.sum(np.log(np.abs(ev))))

@@ -139,3 +139,23 @@ def linear_shift_ladder(hess, grad, cho_factor, cho_solve):
         except (np.linalg.LinAlgError, ValueError):
             tau = max(2.0 * tau, 1e-10 * scale)
     return -grad / scale, 60
+
+
+def dense_bordered_eigenvalues(z1p, z3p, n, d2_0, rng):
+    """Spectrum of the bordered conditional Hessian assembled in the original basis.
+
+    Draws the border xi ~ N(0, -2 D''(0)/n I) and a dense GOE_{n-1} matrix
+    M = (A + A^T) / (2 sqrt(n-1)), fills
+    G = [[z1', xi^T], [xi, sqrt(-4 D''(0)) (sqrt((n-1)/n) M - z3' I)]]
+    entry by entry and eigensolves it densely: no bulk eigenbasis and no
+    tridiagonal model are involved.
+    """
+    xi = rng.standard_normal(n - 1) * np.sqrt(-2.0 * d2_0 / n)
+    raw = rng.standard_normal((n - 1, n - 1))
+    m = (raw + raw.T) / (2.0 * np.sqrt(n - 1))
+    g = np.empty((n, n))
+    g[0, 0] = z1p
+    g[0, 1:] = xi
+    g[1:, 0] = xi
+    g[1:, 1:] = np.sqrt(-4.0 * d2_0) * (np.sqrt((n - 1) / n) * m - z3p * np.eye(n - 1))
+    return np.linalg.eigvalsh(g)

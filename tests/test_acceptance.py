@@ -292,8 +292,7 @@ def test_10_bordered_determinant_oracle():
     worst = 0.0
     for b, n in enumerate((8, 32, 64)):
         for i in range(100):
-            s = sample_g(model, 2.0, rep.rho_star, rep.u_star, n,
-                         seed=6000 + 100 * b + i, method="dense")
+            s = sample_g(model, 2.0, rep.rho_star, rep.u_star, n, seed=6000 + 100 * b + i)
             log_abs, _sign = schur_det(s)
             dense_log = float(np.sum(np.log(np.abs(s.eigenvalues))))
             worst = max(worst, abs(log_abs - dense_log))

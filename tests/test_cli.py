@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
 
 from trivlab.cli import main
+from trivlab.config import parse_config, parse_config_file
 
 SRC_YAML = """
 model:
@@ -142,6 +145,14 @@ class TestSimulate:
         assert summary["estimates"]["energy_per_n"]["mean"] == pytest.approx(
             float(np.mean(energies)), abs=1e-15)
 
+    def test_summary_config_is_the_full_emitted_config(self, runner, tmp_path):
+        cfg_path, out = write_cfg(tmp_path, SRC_YAML)
+        res = runner.invoke(main, ["simulate", "--config", cfg_path, "--seed", "77"])
+        assert res.exit_code == 0, res.output
+        summary = json.loads((out / "t_summary.json").read_text())
+        cfg = dataclasses.replace(parse_config_file(cfg_path), seed=77)
+        assert parse_config(yaml.safe_dump(summary["config"])) == cfg
+
     def test_byte_identical_rerun_modulo_wall_time(self, runner, tmp_path):
         cfg_path, out = write_cfg(tmp_path, SRC_YAML)
         assert runner.invoke(main, ["simulate", "--config", cfg_path]).exit_code == 0
@@ -249,6 +260,30 @@ class TestLrcEdge:
         res = runner.invoke(main, ["lrc-edge", "--config", cfg_path])
         assert res.exit_code == 2
         assert "lrc" in res.output
+
+
+class TestRunSizeBounds:
+    # each command's library minimum is a config problem (exit 2); the
+    # minimum itself still runs
+    CASES = [
+        ("lrc-edge", LRC_YAML, "trials: 60", "trials: {}", 50),
+        ("count", SRC_YAML, "samples: 400", "samples: {}", 100),
+        ("census", SUBCRITICAL_YAML, "starts: 300", "starts: {}", 10),
+    ]
+
+    @pytest.mark.parametrize("command,template,key,line,bound", CASES, ids=[c[0] for c in CASES])
+    def test_below_bound_exits_2(self, runner, tmp_path, command, template, key, line, bound):
+        cfg_path, out = write_cfg(tmp_path, template.replace(key, line.format(bound - 1)))
+        res = runner.invoke(main, [command, "--config", cfg_path])
+        assert res.exit_code == 2, res.output
+        assert f"at least {bound}" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,template,key,line,bound", CASES, ids=[c[0] for c in CASES])
+    def test_bound_runs(self, runner, tmp_path, command, template, key, line, bound):
+        cfg_path, _ = write_cfg(tmp_path, template.replace(key, line.format(bound)))
+        res = runner.invoke(main, [command, "--config", cfg_path])
+        assert res.exit_code == 0, res.output
 
 
 class TestVerify:

@@ -21,9 +21,9 @@ from trivlab import (
     second_moment_ratio,
     tridiag_w_lambda_max,
 )
-from trivlab.lrc_hessian import DENSE_ASSEMBLY_MAX_N, BorderedHessianSample
+from trivlab.lrc_hessian import BorderedHessianSample
 
-from oracles import lrc_conditional_moment_oracle
+from oracles import dense_bordered_eigenvalues, lrc_conditional_moment_oracle
 
 DEFAULT = LrcStructure()
 MIX = LrcStructure(A=0.2, atoms=((0.6, 0.8), (0.4, 1.6)))
@@ -40,8 +40,8 @@ def rebuild_arrowhead(s: BorderedHessianSample) -> np.ndarray:
     n = s.n
     a = np.zeros((n, n))
     a[0, 0] = s.z1p
-    a[0, 1:] = s.xi_bulk_basis
-    a[1:, 0] = s.xi_bulk_basis
+    a[0, 1:] = s.xi
+    a[1:, 0] = s.xi
     a[1:, 1:] = np.diag(s.g_star_eigenvalues)
     return a
 
@@ -197,39 +197,54 @@ class TestSampleG:
 
     @pytest.mark.parametrize("y", [None, Y_STAR])
     def test_interlacement(self, y):
-        for seed in range(25):
-            s = sample_g(DEFAULT, MU, RHO_STAR, U_STAR, 12, seed=seed, y=y)
-            lam = s.eigenvalues
-            star = np.sort(s.g_star_eigenvalues)
-            tol = 1e-10 * max(1.0, float(np.abs(lam).max()))
-            assert np.all(lam[:-1] <= star + tol)
-            assert np.all(star <= lam[1:] + tol)
+        for n in (12, 600):
+            for seed in range(25):
+                s = sample_g(DEFAULT, MU, RHO_STAR, U_STAR, n, seed=seed, y=y)
+                lam = s.eigenvalues
+                star = np.sort(s.g_star_eigenvalues)
+                tol = 1e-10 * max(1.0, float(np.abs(lam).max()))
+                assert np.all(lam[:-1] <= star + tol)
+                assert np.all(star <= lam[1:] + tol)
 
-    @pytest.mark.parametrize("n", [8, 32, 64])
-    def test_dense_assembly_matches_arrowhead_form(self, n):
-        s = sample_g(DEFAULT, MU, RHO_STAR, U_STAR, n, seed=1234 + n)
-        assert s.method == "dense"
-        ev = np.linalg.eigvalsh(rebuild_arrowhead(s))
-        assert np.abs(ev - s.eigenvalues).max() <= 1e-10
+    @pytest.mark.parametrize("n", [3, 12, 100, 600])
+    @pytest.mark.parametrize("y", [None, Y_STAR])
+    def test_trace_invariants(self, n, y):
+        # tr G and tr G^2 of the arrowhead, read off its entries
+        for seed in range(5):
+            s = sample_g(DEFAULT, MU, RHO_STAR, U_STAR, n, seed=50_000 + seed, y=y)
+            lam, g = s.eigenvalues, s.g_star_eigenvalues
+            assert lam.shape == (n,) and g.shape == s.xi.shape == (n - 1,)
+            tr1 = s.z1p + float(g.sum())
+            assert abs(float(lam.sum()) - tr1) <= 1e-10 * (abs(s.z1p) + float(np.abs(g).sum()))
+            tr2 = s.z1p**2 + 2.0 * float(s.xi @ s.xi) + float(g @ g)
+            assert abs(float(lam @ lam) - tr2) <= 1e-10 * tr2
 
-    @pytest.mark.parametrize("n,seed", [(64, 7), (600, 8)])
-    def test_secular_solver_matches_dense_eigensolver(self, n, seed):
-        s = sample_g(DEFAULT, MU, RHO_STAR, U_STAR, n, seed=seed, method="secular")
-        assert s.method == "secular"
-        ev = np.linalg.eigvalsh(rebuild_arrowhead(s))
-        assert np.abs(ev - s.eigenvalues).max() <= 1e-10
-
-    def test_method_auto_switch(self):
-        lo = sample_g(DEFAULT, MU, 0.8, -0.2, DENSE_ASSEMBLY_MAX_N, seed=1)
-        hi = sample_g(DEFAULT, MU, 0.8, -0.2, DENSE_ASSEMBLY_MAX_N + 1, seed=1)
-        assert lo.method == "dense"
-        assert hi.method == "secular"
+    @pytest.mark.parametrize("y", [None, Y_STAR])
+    def test_lambda_min_law_matches_dense_oracle(self, y):
+        # two-sample KS on lambda_min at alpha = 0.01, 2000 draws per side;
+        # the oracle assembles G in the original basis from a dense GOE
+        n, draws = 32, 2000
+        d2_0 = eval_lrc(DEFAULT, 0.0, 2)
+        fast = np.array(
+            [sample_g(DEFAULT, MU, RHO_STAR, U_STAR, n, seed=80_000 + i, y=y).lambda_min
+             for i in range(draws)]
+        )
+        rng = np.random.default_rng(82_000)
+        if y is None:
+            z1, z3 = sample_corner_pairs(DEFAULT, MU, RHO_STAR, U_STAR, n, draws, seed=81_000)
+        else:
+            cc = corner_conditional(DEFAULT, MU, RHO_STAR, U_STAR, y)
+            z1 = cc.a_bar + math.sqrt(cc.b_sq / n) * rng.standard_normal(draws)
+            z3 = np.full(draws, y)
+        dense = np.array(
+            [dense_bordered_eigenvalues(a, b, n, d2_0, rng)[0] for a, b in zip(z1, z3)]
+        )
+        _, p = ks_2samp(fast, dense)
+        assert p > 0.01
 
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_g(DEFAULT, MU, 0.8, -0.2, 2, seed=0)
-        with pytest.raises(ValueError):
-            sample_g(DEFAULT, MU, 0.8, -0.2, 8, seed=0, method="lu")
 
 
 class TestSchurDet:
@@ -253,11 +268,9 @@ class TestSchurDet:
             z1p=z1p,
             z3p=0.0,
             xi=np.asarray(xi_bulk, dtype=float),
-            xi_bulk_basis=np.asarray(xi_bulk, dtype=float),
             goe_eigenvalues=g_star / 2.0,
             g_star_eigenvalues=g_star,
             eigenvalues=np.sort(np.concatenate([[z1p], g_star])),
-            method="dense",
         )
 
     def test_zero_border_is_block_diagonal(self):
