@@ -27,7 +27,7 @@ from .complexity import (
 from .config import RunConfig, config_mapping, emit_config, parse_config_file
 from .errors import ConfigError, TrivlabError
 from .experiments import CENSUS_MIN_STARTS, aggregate, run_census_trials, run_trials
-from .lrc_hessian import EDGE_MIN_TRIALS, edge_tail
+from .lrc_hessian import BORDERED_MIN_N, EDGE_MIN_TRIALS, edge_tail
 
 TRIALS_CSV_HEADER = (
     "trial_id,seed,N,K,mu,model,energy_per_n,radius_per_sqrt_n,"
@@ -297,6 +297,8 @@ def lrc_edge(config_path, seed):
         raise ConfigError("lrc-edge requires model.kind: lrc")
     if cfg.trials < EDGE_MIN_TRIALS:
         raise ConfigError(f"lrc-edge needs trials of at least {EDGE_MIN_TRIALS}")
+    if min(cfg.n_grid) < BORDERED_MIN_N:
+        raise ConfigError(f"lrc-edge needs n_grid entries of at least {BORDERED_MIN_N}")
     model = cfg.model.build()
     rows = [EDGE_CSV_HEADER]
     for i, n in enumerate(cfg.n_grid):

@@ -11,6 +11,7 @@ depend on scheduling order.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -36,6 +37,8 @@ __all__ = [
     "aggregate",
 ]
 
+logger = logging.getLogger(__name__)
+
 # an eigenvalue counts toward the index only below this threshold
 INDEX_EIGENVALUE_THRESHOLD = -1e-8
 # starts agreeing within this times sqrt(N) corroborate a point
@@ -46,6 +49,10 @@ CENSUS_VERIFY_TOL = 1e-9
 SHIFT_RUNGS = 60
 # fewest starts a census accepts
 CENSUS_MIN_STARTS = 10
+# a census line-search probe is rejected from its float32 gradient norm only
+# when that norm exceeds the float64 Armijo bound by this times
+# (|grad| + sqrt(N)); the float32 error is about 1% of that margin
+SCREEN_MARGIN = 1e-4
 
 # calibrated at desk scale (N around 200, K = 8192, 50 trials); the limit
 # statements carry no convergence rates, so these are not derived quantities
@@ -201,23 +208,32 @@ def _newton_root_batch(field, mu, x0s, grad_tol, step_cap, max_iter=100):
     The search direction is the exact (unmodified) Newton direction, so
     index >= 1 points attract full steps just like minima; the backtracking
     guard on |grad| only shortens steps far from any root, where raw
-    Newton would wander in an indefinite landscape.  Returns (points,
-    converged mask) in start order.
+    Newton would wander in an indefinite landscape.  Each line-search probe
+    is first screened in float32: a probe whose float32 |grad| exceeds the
+    Armijo bound by SCREEN_MARGIN * (|grad| + sqrt(N)), about a hundred
+    times the float32 error, is rejected; every other probe is evaluated
+    and decided in float64.  Returns (points, converged mask, counts) in
+    start order; counts tallies how the unconverged starts were retired
+    (stalled, exhausted, singular, unfinished) and how probes were decided
+    (screened, float64).
     """
     xs = np.array(x0s, dtype=float)
-    s = xs.shape[0]
+    s, n = xs.shape
     _, gs, _ = _evaluate(field, mu, xs, gradient=True)
     gn = np.linalg.norm(gs, axis=1)
     active = np.ones(s, dtype=bool)
     t_warm = np.ones(s)  # last useful step length per start
-    snapshot = gn.copy()  # stagnation reference, refreshed every 8 iterations
+    history = np.empty((8, s))  # |grad| of the last 8 iterations, row it % 8
+    counts = dict.fromkeys(("stalled", "exhausted", "singular", "screened", "float64"), 0)
     for it in range(max_iter):
         active &= gn > grad_tol
-        if it and it % 8 == 0:
+        if it >= 8:
             # a start that shaved less than 1% off |grad| in 8 iterations is
             # orbiting an indefinite region, not approaching a root
-            active &= gn <= 0.99 * snapshot
-            snapshot = gn.copy()
+            stalled = active & (gn > 0.99 * history[it % 8])
+            counts["stalled"] += int(np.count_nonzero(stalled))
+            active &= ~stalled
+        history[it % 8] = gn
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -225,7 +241,7 @@ def _newton_root_batch(field, mu, x0s, grad_tol, step_cap, max_iter=100):
         try:
             steps = np.linalg.solve(hs, -gs[idx][:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            steps = np.empty((idx.size, xs.shape[1]))
+            steps = np.empty((idx.size, n))
             for j in range(idx.size):
                 try:
                     steps[j] = np.linalg.solve(hs[j], -gs[idx[j]])
@@ -234,6 +250,7 @@ def _newton_root_batch(field, mu, x0s, grad_tol, step_cap, max_iter=100):
         norms = np.linalg.norm(steps, axis=1)
         bad = ~np.isfinite(norms)
         if bad.any():  # singular data; retire those starts as failed
+            counts["singular"] += int(np.count_nonzero(bad))
             active[idx[bad]] = False
             idx = idx[~bad]
             steps = steps[~bad]
@@ -250,20 +267,34 @@ def _newton_root_batch(field, mu, x0s, grad_tol, step_cap, max_iter=100):
                 break
             rows = idx[trying]
             x_new = xs[rows] + t[trying, None] * steps[trying]
-            _, g_new, _ = _evaluate(field, mu, x_new, gradient=True)
-            gn_new = np.linalg.norm(g_new, axis=1)
-            accept = gn_new <= (1.0 - 1e-4 * t[trying]) * gn[rows]
-            acc_rows = rows[accept]
-            xs[acc_rows] = x_new[accept]
-            gs[acc_rows] = g_new[accept]
-            gn[acc_rows] = gn_new[accept]
-            t_warm[acc_rows] = np.minimum(1.0, 4.0 * t[trying[accept]])
-            pending[trying[accept]] = False
+            bound = (1.0 - 1e-4 * t[trying]) * gn[rows]
+            _, g32, _ = _evaluate(field, mu, x_new.astype(np.float32), gradient=True)
+            gn32 = np.linalg.norm(g32, axis=1).astype(float)
+            # written so that a NaN screen sends the probe to float64
+            exact = ~(gn32 > bound + SCREEN_MARGIN * (gn32 + math.sqrt(n)))
+            n_exact = int(np.count_nonzero(exact))
+            counts["screened"] += trying.size - n_exact
+            counts["float64"] += n_exact
+            accept = np.zeros(trying.size, dtype=bool)
+            if n_exact:
+                _, g_new, _ = _evaluate(field, mu, x_new[exact], gradient=True)
+                gn_new = np.linalg.norm(g_new, axis=1)
+                ok = gn_new <= bound[exact]
+                accept[exact] = ok
+                acc_rows = rows[accept]
+                xs[acc_rows] = x_new[accept]
+                gs[acc_rows] = g_new[ok]
+                gn[acc_rows] = gn_new[ok]
+                t_warm[acc_rows] = np.minimum(1.0, 4.0 * t[trying[accept]])
+                pending[trying[accept]] = False
             t[trying[~accept]] *= 0.5
         # starts whose line search exhausted are stalled at a non-root
         # stationary point of |grad|; retire them as failed
+        counts["exhausted"] += int(np.count_nonzero(pending))
         active[idx[pending]] = False
-    return xs, gn <= grad_tol
+    converged = gn <= grad_tol
+    counts["unfinished"] = int(np.count_nonzero(active & ~converged))
+    return xs, converged, counts
 
 
 def _point_record(x: np.ndarray, ev, n: int, corroborated: bool) -> CriticalPointRecord:
@@ -337,7 +368,7 @@ def census(field: FieldRealization, mu: float, n_starts: int,
     for i in range(n_starts):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 2, i)))
         x0s[i] = _uniform_ball(rng, n, radius)
-    xs, ok = _newton_root_batch(field, mu, x0s, tol, step_cap)
+    xs, ok, counts = _newton_root_batch(field, mu, x0s, tol, step_cap)
     # greedy dedupe in start order; the earliest start owns the cluster
     reps: list[dict] = []
     for i in np.flatnonzero(ok):
@@ -354,6 +385,17 @@ def census(field: FieldRealization, mu: float, n_starts: int,
         ev = eval_hamiltonian(field, mu, rep["x"])
         if float(np.linalg.norm(ev.gradient)) <= verify_tol:
             records.append(_point_record(rep["x"], ev, n, corroborated=rep["hits"] >= 3))
+    counts.update(starts=n_starts, converged=int(np.count_nonzero(ok)),
+                  dedupe_hits=int(np.count_nonzero(ok)) - len(reps),
+                  reverify_rejects=len(reps) - len(records), points=len(records))
+    logger.debug(
+        "census of field %(seed)d: %(starts)d starts, %(converged)d converged, "
+        "%(stalled)d stalled, %(exhausted)d line searches exhausted, %(singular)d singular, "
+        "%(unfinished)d unfinished; %(screened)d probes rejected in float32, "
+        "%(float64)d decided in float64; %(dedupe_hits)d dedupe hits, "
+        "%(reverify_rejects)d re-verify rejects, %(points)d points",
+        dict(counts, seed=field.seed), extra={"census_counts": counts},
+    )
     return records
 
 

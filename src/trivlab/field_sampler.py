@@ -73,6 +73,12 @@ class FieldRealization:
             return self.g0
         return self.g0 - float((np.cos(self.phases[None, :]) @ self.amplitudes)[0])
 
+    @cached_property
+    def _float32(self) -> tuple[np.ndarray, ...]:
+        """float32 copies of (w, phases, amplitudes, xi) for float32 points."""
+        arrays = (self.w, self.phases, self.amplitudes, self.xi)
+        return tuple(_frozen(a, np.float32) for a in arrays)
+
     def field_value(self, x) -> float:
         """X(x) without the confinement term."""
         value, _, _ = _evaluate(self, 0.0, _one_point(x), value=True)
@@ -96,8 +102,8 @@ class HamiltonianEval:
     hessian: np.ndarray
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=float)
+def _frozen(arr: np.ndarray, dtype=float) -> np.ndarray:
+    arr = np.ascontiguousarray(arr, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -193,27 +199,34 @@ def _evaluate(field: FieldRealization, mu: float, xs: np.ndarray, *,
     The one place the feature sum is evaluated: the (S, K) phase matrix
     xs @ w.T + phases is formed once, and each requested part takes only
     the transcendentals it needs.  Returns (values (S,), gradients (S, N),
-    Hessians (S, N, N)), with None for each part not asked for.
+    Hessians (S, N, N)), with None for each part not asked for.  Float32
+    points are evaluated in float32 against the realization's float32
+    copies (a cheap screen); every other input is evaluated in float64.
     """
-    xs = np.asarray(xs, dtype=float)
-    phase = xs @ field.w.T
-    phase += field.phases
+    xs = np.asarray(xs)
+    if xs.dtype == np.float32:
+        w, phases, amplitudes, xi = field._float32
+    else:
+        xs = xs.astype(float, copy=False)
+        w, phases, amplitudes, xi = field.w, field.phases, field.amplitudes, field.xi
+    phase = xs @ w.T
+    phase += phases
     values = gradients = hessians = None
     # the last transcendental taken overwrites the phases in place
     if value or hessian:
         weights = np.cos(phase, out=None if gradient else phase)
     if gradient:
         sines = np.sin(phase, out=phase)
-        sines *= field.amplitudes
-        gradients = field.xi - sines @ field.w
+        sines *= amplitudes
+        gradients = xi - sines @ w
         gradients += mu * xs
     if value:
-        values = weights @ field.amplitudes + xs @ field.xi
+        values = weights @ amplitudes + xs @ xi
         values += field._offset
         values += 0.5 * mu * np.einsum("ij,ij->i", xs, xs)
     if hessian:
-        weights *= field.amplitudes
-        hessians = _hessians(field.w, weights)
+        weights *= amplitudes
+        hessians = _hessians(w, weights)
         diag = np.arange(field.n)
         hessians[:, diag, diag] += mu
     return values, gradients, hessians

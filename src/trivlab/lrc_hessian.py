@@ -40,6 +40,8 @@ from .structure_functions import LrcStructure, alpha_beta, conditioning_variance
 
 # fewest draws edge_tail accepts
 EDGE_MIN_TRIALS = 50
+# smallest dimension of the bordered Hessian (corner, border, GOE_{n-1} bulk)
+BORDERED_MIN_N = 3
 
 __all__ = [
     "LrcConditionalConstants",
@@ -187,8 +189,8 @@ def sample_corner_pairs(model, mu, rho, u, n: int, n_draws: int, seed: int):
     Shares the sampling core with sample_g; intended for conditional-law
     statistics where the bulk eigenvalues are not needed.
     """
-    if n < 3:
-        raise ValueError("n must be at least 3")
+    if n < BORDERED_MIN_N:
+        raise ValueError(f"n must be at least {BORDERED_MIN_N}")
     if n_draws < 1:
         raise ValueError("n_draws must be positive")
     c = constants(model, mu, rho, u)
@@ -210,8 +212,8 @@ def sample_g(model, mu, rho, u, n: int, seed: int,
     spectrum is one dense eigensolve of the n x n arrowhead.
     """
     n = int(n)
-    if n < 3:
-        raise ValueError("n must be at least 3")
+    if n < BORDERED_MIN_N:
+        raise ValueError(f"n must be at least {BORDERED_MIN_N}")
     c = constants(model, mu, rho, u)
     d2_0 = eval_lrc(model, 0.0, 2)
     a2 = -4.0 * d2_0
@@ -286,8 +288,8 @@ def tridiag_w_lambda_max(model, mu, rho, u, y, n: int, seed: int) -> float:
     - sqrt(-4 D''(0)) y reproduces lambda_min(G) in law.
     """
     n = int(n)
-    if n < 3:
-        raise ValueError("n must be at least 3")
+    if n < BORDERED_MIN_N:
+        raise ValueError(f"n must be at least {BORDERED_MIN_N}")
     cc = corner_conditional(model, mu, rho, u, y)
     d2_0 = eval_lrc(model, 0.0, 2)
     s_half = math.sqrt(-2.0 * d2_0)

@@ -258,11 +258,9 @@ def rho_n_estimate(
     if not hi > lo:
         raise ValueError("support must be a nonempty interval")
     edges = np.arange(lo, hi + bin_width / 2, bin_width)
-    counts = np.zeros(edges.size - 1)
     rng = np.random.default_rng(seed)
-    for _ in range(n_samples):
-        ev = goe_eigenvalues(n, rng, method=method)
-        counts += np.histogram(ev, bins=edges)[0]
+    pooled = np.concatenate([goe_eigenvalues(n, rng, method=method) for _ in range(n_samples)])
+    counts = np.histogram(pooled, bins=edges)[0]
     total = n * n_samples
     values = counts / (total * bin_width)
     centers = (edges[:-1] + edges[1:]) / 2.0

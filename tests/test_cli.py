@@ -269,9 +269,11 @@ class TestRunSizeBounds:
         ("lrc-edge", LRC_YAML, "trials: 60", "trials: {}", 50),
         ("count", SRC_YAML, "samples: 400", "samples: {}", 100),
         ("census", SUBCRITICAL_YAML, "starts: 300", "starts: {}", 10),
+        ("lrc-edge", LRC_YAML, "n_grid: [16]", "n_grid: [{}]", 3),
     ]
+    IDS = ["lrc-edge", "count", "census", "lrc-edge-n_grid"]
 
-    @pytest.mark.parametrize("command,template,key,line,bound", CASES, ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("command,template,key,line,bound", CASES, ids=IDS)
     def test_below_bound_exits_2(self, runner, tmp_path, command, template, key, line, bound):
         cfg_path, out = write_cfg(tmp_path, template.replace(key, line.format(bound - 1)))
         res = runner.invoke(main, [command, "--config", cfg_path])
@@ -279,7 +281,7 @@ class TestRunSizeBounds:
         assert f"at least {bound}" in res.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,template,key,line,bound", CASES, ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("command,template,key,line,bound", CASES, ids=IDS)
     def test_bound_runs(self, runner, tmp_path, command, template, key, line, bound):
         cfg_path, _ = write_cfg(tmp_path, template.replace(key, line.format(bound)))
         res = runner.invoke(main, [command, "--config", cfg_path])

@@ -115,6 +115,41 @@ class TestCensus:
         with pytest.raises(ValueError):
             census(field, 1.0, n_starts=5, seed=0)
 
+    # (field seed, K, mu, starts): the N=6 fields of the tests above
+    FIELDS = [(5, 512, 1.0, 150), (6, 512, 1.0, 180), (7, 1024, 3.0, 120), (8, 512, 1.0, 400)]
+
+    @pytest.mark.parametrize("seed,k,mu,starts", FIELDS)
+    def test_float32_screen_changes_no_decision(self, monkeypatch, caplog, seed, k, mu, starts):
+        field = small_field(n=6, k=k, seed=seed)
+        screened = census(field, mu, n_starts=starts, seed=0)
+        # an infinite margin sends every line-search probe to float64
+        monkeypatch.setattr(experiments, "SCREEN_MARGIN", math.inf)
+        with caplog.at_level("DEBUG", logger="trivlab.experiments"):
+            exact = census(field, mu, n_starts=starts, seed=0)
+        assert caplog.records[-1].census_counts["screened"] == 0
+        assert len(screened) == len(exact)
+        for p, q in zip(screened, exact):
+            np.testing.assert_allclose(p.x, q.x, rtol=0.0, atol=1e-12)
+            assert p.corroborated == q.corroborated
+            assert p.index == q.index
+
+    def test_counters_add_up(self, caplog):
+        field = small_field(n=6, k=512, seed=8)
+        with caplog.at_level("DEBUG", logger="trivlab.experiments"):
+            pts = census(field, 1.0, n_starts=400, seed=0)
+        records = [r for r in caplog.records if r.name == "trivlab.experiments"]
+        assert len(records) == 1
+        c = records[0].census_counts
+        assert c["starts"] == 400
+        assert c["starts"] == (c["converged"] + c["stalled"] + c["exhausted"]
+                               + c["singular"] + c["unfinished"])
+        assert c["converged"] == c["points"] + c["reverify_rejects"] + c["dedupe_hits"]
+        assert c["points"] == len(pts)
+        # subcritical: most starts stall far from the critical region, and the
+        # screen settles part of the probes without a float64 evaluation
+        assert c["stalled"] > 0 and c["screened"] > 0 and c["float64"] > 0
+        assert "400 starts" in records[0].getMessage()
+
 
 class TestRunTrials:
     CFG = RunConfig(model=ModelConfig(), mu=3.0, n=24, k=1024, trials=3, starts=3, seed=42)

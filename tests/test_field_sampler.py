@@ -14,6 +14,7 @@ from trivlab import (
     exact_sample_on_points,
     sample_field,
 )
+from trivlab.experiments import SCREEN_MARGIN, _search_radius
 from trivlab.field_sampler import _evaluate, covariance_on_points
 
 from oracles import dense_field_hessian, lrc_pointwise_covariance
@@ -400,3 +401,28 @@ def test_featureless_field_hessian_is_the_confinement():
     _, grads, hessians = _evaluate(f, 2.0, np.tile(x, (10, 1)), gradient=True, hessian=True)
     np.testing.assert_array_equal(hessians, np.broadcast_to(2.0 * np.eye(4), (10, 4, 4)))
     np.testing.assert_array_equal(grads, np.tile(2.0 * x, (10, 1)))
+
+
+@pytest.mark.parametrize("model", [DEFAULT_SRC, DEFAULT_LRC], ids=["src", "lrc"])
+@pytest.mark.parametrize("n,k", [(6, 1024), (20, 2048), (50, 4096), (200, 8192)])
+def test_float32_gradient_norm_within_screen_margin(model, n, k):
+    # the census rejects a line-search probe from its float32 |grad| only
+    # beyond SCREEN_MARGIN * (|grad| + sqrt(N)); the float32 error must stay
+    # far inside that margin, inside the search ball and out to the farthest
+    # probe a capped step reaches (3 radii + 1)
+    mu = 1.0
+    field = sample_field(model, n, k, seed=n)
+    radius = _search_radius(field, mu)
+    rng = np.random.default_rng(n + 1)
+    dirs = rng.standard_normal((400, n))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    r = np.concatenate([rng.uniform(0.0, radius, 200),
+                        rng.uniform(radius, 3.0 * radius + 1.0, 200)])
+    xs = dirs * r[:, None]
+    _, g64, _ = _evaluate(field, mu, xs, gradient=True)
+    _, g32, _ = _evaluate(field, mu, xs.astype(np.float32), gradient=True)
+    assert g32.dtype == np.float32 and g64.dtype == np.float64
+    gn64 = np.linalg.norm(g64, axis=1)
+    gn32 = np.linalg.norm(g32, axis=1).astype(float)
+    margin = SCREEN_MARGIN * (gn64 + math.sqrt(n))
+    assert np.all(np.abs(gn32 - gn64) <= margin / 10)

@@ -168,6 +168,18 @@ def test_rho_estimate_matches_exact_two_point_density():
     assert est(0.0) == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), rel=0.05)
 
 
+@pytest.mark.parametrize("method", ["dense", "tridiagonal"])
+def test_rho_estimate_pools_the_per_draw_histograms(method):
+    n, n_samples, seed = 12, 300, 4
+    est = rho_n_estimate(n, n_samples, seed, method=method)
+    rng = np.random.default_rng(seed)
+    edges = np.arange(-3.0, 3.0 + 0.01, 0.02)
+    counts = np.zeros(edges.size - 1)
+    for _ in range(n_samples):
+        counts += np.histogram(goe_eigenvalues(n, rng, method=method), bins=edges)[0]
+    np.testing.assert_array_equal(est.values, counts / (n * n_samples * 0.02))
+
+
 def test_rho_estimate_validation():
     with pytest.raises(ValueError):
         rho_n_estimate(10, n_samples=0, seed=1)
