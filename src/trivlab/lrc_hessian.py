@@ -14,7 +14,11 @@ drawn there directly since its law is isotropic, one dense eigensolve of
 the resulting arrowhead), evaluates its determinant through the Schur
 complement, reduces the edge question to a tridiagonal model W, and runs
 the edge and second-moment experiments used to check the trivialization
-picture.
+picture.  The edge experiment takes the same draws as :func:`sample_g` but
+no arrowhead eigensolve: whether lambda_min(G) <= t follows from the bulk
+eigenvalues (interlacing) and the sign of the Schur complement of G - t I
+(Sylvester inertia).  Second-moment log-determinants come from the pivot
+recurrence of :func:`trivlab.rmt.goe_log_abs_dets`.
 
 Two sampling modes: with ``y=None`` the shift z3' fluctuates jointly with
 the corner (the unconditional model, used for conditional-law checks);
@@ -35,7 +39,7 @@ from scipy.special import logsumexp
 
 from .complexity import predictions, psi_lrc_maximizer
 from .errors import DegenerateConditioningError
-from .rmt import goe_eigenvalues
+from .rmt import goe_eigenvalues, goe_log_abs_dets
 from .structure_functions import LrcStructure, alpha_beta, conditioning_variance, eval_lrc
 
 # fewest draws edge_tail accepts
@@ -201,6 +205,41 @@ def sample_corner_pairs(model, mu, rho, u, n: int, n_draws: int, seed: int):
     return _corner_core(c, -4.0 * d2_0, ab, float(rho), n, z)
 
 
+def _bordered_sampler(model, mu, rho, u, n: int, y: float | None):
+    """Validate once and return draw(seed) -> (z1', z3', xi, GOE_{n-1} eigenvalues, g*).
+
+    The one place the bordered-Hessian stream is written: the corner
+    normals, the border, then a tridiagonal GOE_{n-1}.
+    """
+    if n < BORDERED_MIN_N:
+        raise ValueError(f"n must be at least {BORDERED_MIN_N}")
+    c = constants(model, mu, rho, u)
+    d2_0 = eval_lrc(model, 0.0, 2)
+    a2 = -4.0 * d2_0
+    ab = c.alpha * c.beta
+    if ab < 0.0:
+        raise DegenerateConditioningError("alpha*beta is negative; the shift coupling is undefined")
+    cc = None if y is None else corner_conditional(model, mu, rho, u, y)
+    xi_scale = math.sqrt(-2.0 * d2_0 / n)
+    bulk_scale = math.sqrt((n - 1) / n)
+
+    def draw(seed):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((1, 3))
+        if cc is None:
+            z1p_arr, z3p_arr = _corner_core(c, a2, ab, float(rho), n, z)
+            z1p, z3p = float(z1p_arr[0]), float(z3p_arr[0])
+        else:
+            z1p = cc.a_bar + math.sqrt(cc.b_sq / n) * float(z[0, 0])
+            z3p = float(y)
+        xi = rng.standard_normal(n - 1) * xi_scale
+        goe_vals = goe_eigenvalues(n - 1, rng, method="tridiagonal")
+        g_star = math.sqrt(a2) * (bulk_scale * goe_vals - z3p)
+        return z1p, z3p, xi, goe_vals, g_star
+
+    return draw
+
+
 def sample_g(model, mu, rho, u, n: int, seed: int,
              y: float | None = None) -> BorderedHessianSample:
     """Draw the bordered conditional Hessian and assemble its spectrum.
@@ -212,27 +251,7 @@ def sample_g(model, mu, rho, u, n: int, seed: int,
     spectrum is one dense eigensolve of the n x n arrowhead.
     """
     n = int(n)
-    if n < BORDERED_MIN_N:
-        raise ValueError(f"n must be at least {BORDERED_MIN_N}")
-    c = constants(model, mu, rho, u)
-    d2_0 = eval_lrc(model, 0.0, 2)
-    a2 = -4.0 * d2_0
-    ab = c.alpha * c.beta
-    if ab < 0.0:
-        raise DegenerateConditioningError("alpha*beta is negative; the shift coupling is undefined")
-
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((1, 3))
-    if y is None:
-        z1p_arr, z3p_arr = _corner_core(c, a2, ab, float(rho), n, z)
-        z1p, z3p = float(z1p_arr[0]), float(z3p_arr[0])
-    else:
-        cc = corner_conditional(model, mu, rho, u, y)
-        z1p = cc.a_bar + math.sqrt(cc.b_sq / n) * float(z[0, 0])
-        z3p = float(y)
-    xi = rng.standard_normal(n - 1) * math.sqrt(-2.0 * d2_0 / n)
-    goe_vals = goe_eigenvalues(n - 1, rng, method="tridiagonal")
-    g_star = math.sqrt(a2) * (math.sqrt((n - 1) / n) * goe_vals - z3p)
+    z1p, z3p, xi, goe_vals, g_star = _bordered_sampler(model, mu, rho, u, n, y)(seed)
     arrow = np.diag(np.concatenate(([z1p], g_star)))
     arrow[0, 1:] = xi
     arrow[1:, 0] = xi
@@ -302,25 +321,40 @@ def tridiag_w_lambda_max(model, mu, rho, u, y, n: int, seed: int) -> float:
     return float(eigvalsh_tridiagonal(diag, off)[-1])
 
 
-def edge_tail(model, mu, n: int, trials: int, epsilon: float, seed: int) -> float:
-    """Fraction of pinned-model draws with lambda_min below the predicted edge minus epsilon.
+def _edge_exceedances(model, mu, n: int, trials: int, epsilon: float, seed: int) -> np.ndarray:
+    """Per-draw lambda_min(G) <= edge - epsilon for edge_tail's draws, without eigensolving G.
 
-    Samples G at the rate-function maximizer (rho*, u*, y*) and counts
-    lambda_min(G) <= (c_l - r_l) - epsilon.  epsilon may be negative for
-    sanity inversions (threshold above the bulk).
+    Draw t is sample_g's draw at the rate-function maximizer with seed
+    child t of ``seed``.  By interlacing lambda_min(G) <= min g* holds, and
+    when min g* > t the bulk block of G - t I is positive definite, so by
+    Sylvester's inertia G - t I fails to be positive definite exactly when
+    its Schur complement z1' - t - sum xi_k^2 / (g*_k - t) is <= 0.
     """
     if trials < EDGE_MIN_TRIALS:
         raise ValueError(f"trials must be at least {EDGE_MIN_TRIALS}")
     point, _ = psi_lrc_maximizer(model, mu)
     report = predictions(model, mu)
     threshold = report.lambda_edge - float(epsilon)
+    draw = _bordered_sampler(model, mu, point.rho, point.u, int(n), point.y)
     child = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
-    count = 0
+    hits = np.empty(trials, dtype=bool)
     for t in range(trials):
-        s = sample_g(model, mu, point.rho, point.u, n, int(child[t]), y=point.y)
-        if s.lambda_min <= threshold:
-            count += 1
-    return count / trials
+        z1p, _z3p, xi, _goe, g_star = draw(int(child[t]))
+        gap = g_star - threshold
+        hits[t] = gap.min() <= 0.0 or z1p - threshold - float(np.sum(xi * xi / gap)) <= 0.0
+    return hits
+
+
+def edge_tail(model, mu, n: int, trials: int, epsilon: float, seed: int) -> float:
+    """Fraction of pinned-model draws with lambda_min below the predicted edge minus epsilon.
+
+    Samples G at the rate-function maximizer (rho*, u*, y*) and counts
+    lambda_min(G) <= (c_l - r_l) - epsilon.  epsilon may be negative for
+    sanity inversions (threshold above the bulk).  The draws are
+    :func:`sample_g`'s; each is decided by interlacing and the sign of a
+    Schur complement instead of an n x n eigensolve.
+    """
+    return int(np.count_nonzero(_edge_exceedances(model, mu, n, trials, epsilon, seed))) / trials
 
 
 def second_moment_ratio(n: int, x: float, n_samples: int, seed: int) -> float:
@@ -328,7 +362,8 @@ def second_moment_ratio(n: int, x: float, n_samples: int, seed: int) -> float:
 
     Requires x clear of the bulk edge (x > sqrt(2) + 0.1) so the
     determinant does not vanish along the sampled spectra; all expectations
-    are accumulated in log-space.
+    are accumulated in log-space.  The log-determinants come from the pivot
+    recurrence on tridiagonal draws.
     """
     n = int(n)
     if n < 1:
@@ -338,11 +373,7 @@ def second_moment_ratio(n: int, x: float, n_samples: int, seed: int) -> float:
     n_samples = int(n_samples)
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
-    rng = np.random.default_rng(seed)
-    logs = np.empty(n_samples)
-    for i in range(n_samples):
-        ev = goe_eigenvalues(n, rng, method="tridiagonal")
-        logs[i] = float(np.log(np.abs(ev + x)).sum())
+    logs = goe_log_abs_dets(n, n_samples, np.random.default_rng(seed), x, method="tridiagonal")
     log_e2 = float(logsumexp(2.0 * logs) - math.log(n_samples))
     log_e1 = float(logsumexp(logs) - math.log(n_samples))
     return (log_e2 - 2.0 * log_e1) / n

@@ -3,13 +3,20 @@
 Normalization: a GOE matrix here has entries with ``E M_ij^2 = (1 + delta_ij)
 / (2 n)``, so the empirical spectrum converges to the semicircle of radius
 sqrt(2).  The tridiagonal sampler draws the Householder-reduced form (chi
-off-diagonals) and is the default for large n; dense and tridiagonal samplers
-agree in law.
+off-diagonals, Dumitriu-Edelman) and is the default for large n; dense and
+tridiagonal samplers agree in law.
+
+Monte Carlo determinants take no eigensolve: a tridiagonal draw's
+log|det(T + x I)| is the sum of its LDL^T pivots' log magnitudes
+(:func:`tridiagonal_log_abs_det`, vectorized over a block of draws), and a
+dense draw's is one LU ``slogdet``.  :func:`goe_log_abs_dets` draws the
+samples one at a time in the same stream as :func:`goe_eigenvalues`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +28,8 @@ from scipy.special import gammaln, logsumexp
 from .errors import GridCoverageError
 
 DENSE_METHOD_MAX_N = 256
+# matrix entries per pivot-recurrence block: samples * n stays below this
+LOGDET_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -111,29 +120,95 @@ class DensityEstimate:
 
 # ------------------------------------------------------------------ sampling
 
-def _goe_eigenvalues_dense(n: int, rng: np.random.Generator) -> np.ndarray:
+def _goe_dense(n: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((n, n))
-    m = (g + g.T) / (2.0 * np.sqrt(n))
-    return eigh(m, eigvals_only=True)
+    return (g + g.T) / (2.0 * np.sqrt(n))
 
 
-def _goe_eigenvalues_tridiagonal(n: int, rng: np.random.Generator) -> np.ndarray:
+def _goe_tridiagonal(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     diag = rng.standard_normal(n) / np.sqrt(n)
     if n == 1:
-        return np.sort(diag)
-    off = np.sqrt(rng.chisquare(np.arange(n - 1, 0, -1))) / np.sqrt(2.0 * n)
-    return eigvalsh_tridiagonal(diag, off)
+        return diag, np.empty(0)
+    return diag, np.sqrt(rng.chisquare(np.arange(n - 1, 0, -1))) / np.sqrt(2.0 * n)
+
+
+def _resolve_method(n: int, method: str) -> str:
+    if method == "auto":
+        return "dense" if n <= DENSE_METHOD_MAX_N else "tridiagonal"
+    if method in ("dense", "tridiagonal"):
+        return method
+    raise ValueError(f"unknown method {method!r}")
 
 
 def goe_eigenvalues(n: int, rng: np.random.Generator, method: str = "auto") -> np.ndarray:
     """Eigenvalues of one GOE draw using an existing generator (hot-loop path)."""
-    if method == "auto":
-        method = "dense" if n <= DENSE_METHOD_MAX_N else "tridiagonal"
-    if method == "dense":
-        return _goe_eigenvalues_dense(n, rng)
-    if method == "tridiagonal":
-        return _goe_eigenvalues_tridiagonal(n, rng)
-    raise ValueError(f"unknown method {method!r}")
+    if _resolve_method(n, method) == "dense":
+        return eigh(_goe_dense(n, rng), eigvals_only=True)
+    diag, off = _goe_tridiagonal(n, rng)
+    if n == 1:
+        return diag
+    return eigvalsh_tridiagonal(diag, off)
+
+
+def tridiagonal_log_abs_det(diag, off, x=0.0) -> np.ndarray:
+    """log|det(T + x I)| for a stack of symmetric tridiagonal matrices T.
+
+    ``diag`` is (S, n), ``off`` (S, n - 1) and ``x`` a scalar or (S,) shift.
+    The LDL^T pivots r_0 = d_0 + x, r_k = (d_k + x) - e_{k-1}^2 / r_{k-1}
+    multiply to the determinant, so one sweep over k, vectorized over the
+    samples, replaces an eigensolve per sample.  A pivot smaller in
+    magnitude than pivmin = tiny * max(1, max_k e_k^2) is replaced by
+    -pivmin, as LAPACK ``dstebz`` does, so a singular leading minor gives
+    a finite result.
+    """
+    a = np.ascontiguousarray(np.atleast_2d(diag).T) + np.asarray(x, dtype=float)
+    e2 = np.ascontiguousarray(np.atleast_2d(off).T) ** 2
+    n, s = a.shape
+    tiny = np.finfo(float).tiny
+    pivmin = tiny * np.maximum(1.0, e2.max(axis=0)) if n > 1 else np.full(s, tiny)
+    neg_pivmin = -pivmin
+    pivots = a  # overwritten row by row: row k of a is read only to form pivot k
+    small = np.empty(s, dtype=bool)
+    for k in range(n):
+        r = pivots[k]
+        if k:
+            r -= e2[k - 1] / pivots[k - 1]
+        np.less(np.abs(r), pivmin, out=small)
+        np.copyto(r, neg_pivmin, where=small)
+    return np.ascontiguousarray(np.log(np.abs(pivots)).T).sum(axis=1)
+
+
+def goe_log_abs_dets(n: int, n_samples: int, rng: np.random.Generator,
+                     shift: float | Callable[[], float], method: str = "auto") -> np.ndarray:
+    """log|det(M_i + x_i I)| for ``n_samples`` GOE_n draws M_i from ``rng``.
+
+    ``shift`` is a fixed x, or a callable that draws x_i (from ``rng``)
+    just before M_i is drawn.  Draws are taken one at a time in the stream
+    of :func:`goe_eigenvalues` with the same ``method``; dense draws are
+    reduced by ``slogdet`` one at a time, tridiagonal ones by
+    :func:`tridiagonal_log_abs_det` in blocks of at most
+    ``LOGDET_BLOCK_ENTRIES`` matrix entries.
+    """
+    draw_shift = shift if callable(shift) else (lambda: shift)
+    logs = np.empty(n_samples)
+    if _resolve_method(n, method) == "dense":
+        for i in range(n_samples):
+            x = draw_shift()
+            m = _goe_dense(n, rng)
+            m.flat[:: n + 1] += x
+            logs[i] = np.linalg.slogdet(m)[1]
+        return logs
+    block = max(1, LOGDET_BLOCK_ENTRIES // n)
+    for start in range(0, n_samples, block):
+        size = min(block, n_samples - start)
+        xs = np.empty(size)
+        d = np.empty((size, n))
+        e = np.empty((size, n - 1))
+        for j in range(size):
+            xs[j] = draw_shift()
+            d[j], e[j] = _goe_tridiagonal(n, rng)
+        logs[start:start + size] = tridiagonal_log_abs_det(d, e, xs)
+    return logs
 
 
 def sample_goe(n: int, seed: int, method: str = "auto") -> SpectrumSample:
@@ -145,7 +220,7 @@ def sample_goe(n: int, seed: int, method: str = "auto") -> SpectrumSample:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    resolved = method if method != "auto" else ("dense" if n <= DENSE_METHOD_MAX_N else "tridiagonal")
+    resolved = _resolve_method(n, method)
     ev = goe_eigenvalues(n, rng, method=resolved)
     return SpectrumSample(n=n, eigenvalues=np.sort(ev), method=resolved, seed=seed)
 
@@ -282,11 +357,7 @@ def expected_abs_det_shifted_mc(n: int, x: float, n_samples: int, seed: int, met
     """Monte-Carlo estimate of log E|det(GOE_n + x I)| with a jackknife SE."""
     if n_samples < 2:
         raise ValueError("need at least two samples for a jackknife SE")
-    rng = np.random.default_rng(seed)
-    logs = np.empty(n_samples)
-    for i in range(n_samples):
-        ev = goe_eigenvalues(n, rng, method=method)
-        logs[i] = float(np.sum(np.log(np.abs(ev + x))))
+    logs = goe_log_abs_dets(n, n_samples, np.random.default_rng(seed), x, method)
     log_mean = float(logsumexp(logs) - np.log(n_samples))
     return {"log_mean": log_mean, "se": jackknife_se_of_log_mean(logs)}
 

@@ -255,9 +255,12 @@ def _check_minimize_prediction(cfg: RunConfig, fast: bool) -> CheckResult:
 
 
 def _check_lrc_edge_tail(cfg: RunConfig, fast: bool) -> CheckResult:
-    frac = edge_tail(LrcStructure(), 2.0, 100, trials=50, epsilon=0.2, seed=cfg.seed + 26)
+    # at N=100 about one draw in a thousand still dips 0.2 below the edge, so
+    # "no exceedance" is asked where it holds: N=400, the scale of acceptance test 5
+    n, trials = 400, 200
+    frac = edge_tail(LrcStructure(), 2.0, n, trials=trials, epsilon=0.2, seed=cfg.seed + 26)
     return _result("lrc_edge_no_exceedance", frac == 0.0,
-                   f"edge_tail(eps=0.2) = {frac} at N=100, 50 trials")
+                   f"edge_tail(eps=0.2) = {frac} at N={n}, {trials} trials")
 
 
 def _check_lrc_pinned_bulk(cfg: RunConfig, fast: bool) -> CheckResult:

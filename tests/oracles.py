@@ -8,6 +8,7 @@ functions instead of sampling.
 
 import numpy as np
 import mpmath as mp
+from scipy.special import logsumexp
 
 
 def central_diff(f, x, h=1e-5):
@@ -159,3 +160,43 @@ def dense_bordered_eigenvalues(z1p, z3p, n, d2_0, rng):
     g[1:, 0] = xi
     g[1:, 1:] = np.sqrt(-4.0 * d2_0) * (np.sqrt((n - 1) / n) * m - z3p * np.eye(n - 1))
     return np.linalg.eigvalsh(g)
+
+
+# The eigensolve loops below are the Monte Carlo estimators as they were
+# before log-determinants came from pivots and the edge from Schur inertia:
+# the same draws in the same order, reduced by one full spectrum per draw.
+
+def eig_log_abs_dets(n, n_samples, rng, shift, goe_eigenvalues, method="auto"):
+    """log|det(M_i + x_i I)| as sum log|lambda_k(M_i) + x_i|, one eigensolve per draw.
+
+    ``shift`` is a float or a callable drawing x_i before M_i, as in
+    ``trivlab.rmt.goe_log_abs_dets``.
+    """
+    logs = np.empty(n_samples)
+    for i in range(n_samples):
+        x = shift() if callable(shift) else shift
+        ev = goe_eigenvalues(n, rng, method=method)
+        with np.errstate(divide="ignore"):
+            logs[i] = float(np.sum(np.log(np.abs(ev + x))))
+    return logs
+
+
+def eig_expected_crt_mc(a, mu, n, n_samples, seed, goe_eigenvalues, jackknife_se):
+    """``expected_crt_mc`` for Hessian scale ``a`` with eigensolved determinants."""
+    am = mu / a
+    x_hat = am + 1.0 / (2.0 * am) if am >= 1.0 / np.sqrt(2.0) else 2.0 * am
+    zeta = np.sqrt(2.0 * n) * (x_hat - am)
+    rng = np.random.default_rng(seed)
+    logs = np.empty(n_samples)
+    for i in range(n_samples):
+        z = zeta + rng.standard_normal()
+        logdet = eig_log_abs_dets(n, 1, rng, am + z / np.sqrt(2.0 * n), goe_eigenvalues)[0]
+        logs[i] = logdet - zeta * z + 0.5 * zeta * zeta - n * np.log(am)
+    return {"log_value": float(logsumexp(logs) - np.log(n_samples)), "se": jackknife_se(logs)}
+
+
+def eig_edge_lambda_mins(sample_g, model, mu, point, n, trials, seed):
+    """lambda_min of each of ``edge_tail``'s draws, by eigensolving the full bordered Hessian."""
+    child = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
+    return np.array([sample_g(model, mu, point.rho, point.u, n, int(c), y=point.y).lambda_min
+                     for c in child])

@@ -29,9 +29,10 @@ from trivlab import (
     replica_solve,
     trivialization_threshold,
 )
-from trivlab.rmt import goe_eigenvalues
+from trivlab.complexity import _hessian_scales
+from trivlab.rmt import DENSE_METHOD_MAX_N, goe_eigenvalues, jackknife_se_of_log_mean
 
-from oracles import goe_density_tail
+from oracles import eig_expected_crt_mc, goe_density_tail
 
 SQRT2 = math.sqrt(2.0)
 
@@ -406,6 +407,18 @@ def test_expected_crt_mc_is_deterministic_and_validates():
         expected_crt_mc(SrcCorrelator(), 3.0, 8, 99, seed=1)
     with pytest.raises(ValueError):
         expected_crt_mc(SrcCorrelator(), 0.0, 8, 500, seed=1)
+
+
+@pytest.mark.parametrize("n", [6, 100, DENSE_METHOD_MAX_N, DENSE_METHOD_MAX_N + 1, 600])
+@pytest.mark.parametrize("model,mu", [(SrcCorrelator(), 3.0), (LrcStructure(), 2.0)])
+def test_expected_crt_mc_matches_eigensolve_oracle(model, mu, n):
+    # same draws, determinants by pivots / slogdet against full spectra, on
+    # both sides of the dense/tridiagonal switch
+    est = expected_crt_mc(model, mu, n, 200, seed=11 + n)
+    ref = eig_expected_crt_mc(_hessian_scales(model)[0], mu, n, 200, 11 + n,
+                              goe_eigenvalues, jackknife_se_of_log_mean)
+    assert est["log_value"] == pytest.approx(ref["log_value"], abs=1e-12)
+    assert est["se"] == pytest.approx(ref["se"], abs=1e-12)
 
 
 def hybrid_goe_density(n, segments, tail_from, n_draws, seed, bin_width=0.02):

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import ks_2samp, kstest
 
 from trivlab import (
@@ -21,9 +23,16 @@ from trivlab import (
     second_moment_ratio,
     tridiag_w_lambda_max,
 )
-from trivlab.lrc_hessian import BorderedHessianSample
+import trivlab.lrc_hessian as lrc_hessian
+from trivlab.lrc_hessian import BorderedHessianSample, _edge_exceedances
+from trivlab.rmt import goe_eigenvalues
 
-from oracles import dense_bordered_eigenvalues, lrc_conditional_moment_oracle
+from oracles import (
+    dense_bordered_eigenvalues,
+    eig_edge_lambda_mins,
+    eig_log_abs_dets,
+    lrc_conditional_moment_oracle,
+)
 
 DEFAULT = LrcStructure()
 MIX = LrcStructure(A=0.2, atoms=((0.6, 0.8), (0.4, 1.6)))
@@ -328,6 +337,35 @@ class TestEdge:
     def test_edge_tail_validation(self):
         with pytest.raises(ValueError):
             edge_tail(DEFAULT, MU, 100, 49, 0.1, seed=0)
+        with pytest.raises(ValueError):
+            edge_tail(DEFAULT, MU, 2, 50, 0.1, seed=0)
+
+    def test_edge_tail_negative_shift_coupling_raises(self, monkeypatch):
+        real = lrc_hessian.constants
+
+        def flipped(*args):
+            c = real(*args)
+            return dataclasses.replace(c, alpha=-c.alpha)
+
+        monkeypatch.setattr(lrc_hessian, "constants", flipped)
+        with pytest.raises(DegenerateConditioningError):
+            edge_tail(DEFAULT, MU, 100, 50, 0.1, seed=0)
+        with pytest.raises(DegenerateConditioningError):
+            sample_g(DEFAULT, MU, RHO_STAR, U_STAR, 100, seed=0, y=Y_STAR)
+
+    def test_decisions_match_full_eigensolve(self):
+        # the Schur-inertia decision against lambda_min of sample_g on the
+        # same 2000 draws, for thresholds below, at and above the edge
+        n, trials, seed = 100, 2000, 77
+        point, _ = psi_lrc_maximizer(DEFAULT, MU)
+        lam = eig_edge_lambda_mins(sample_g, DEFAULT, MU, point, n, trials, seed)
+        fractions = []
+        for eps in (0.2, 0.05, 0.0, -0.05):
+            hits = _edge_exceedances(DEFAULT, MU, n, trials, eps, seed)
+            np.testing.assert_array_equal(hits, lam <= predictions(DEFAULT, MU).lambda_edge - eps)
+            fractions.append(hits.mean())
+        assert fractions == sorted(fractions) and 0.0 < fractions[0] and fractions[-1] < 1.0
+        assert edge_tail(DEFAULT, MU, n, trials, 0.05, seed) == fractions[1]
 
 
 class TestTridiagW:
@@ -398,6 +436,14 @@ class TestSecondMoment:
             reps = [second_moment_ratio(n, 2.5, 2000, seed=100 + r) for r in range(3)]
             means.append(float(np.mean(reps)))
         assert means[0] >= means[1] >= means[2]
+
+    def test_matches_eigensolve_oracle(self):
+        n, x, samples = 50, 2.0, 1000
+        logs = eig_log_abs_dets(n, samples, np.random.default_rng(100), x, goe_eigenvalues, "tridiagonal")
+        log_e2 = float(logsumexp(2.0 * logs) - math.log(samples))
+        log_e1 = float(logsumexp(logs) - math.log(samples))
+        assert second_moment_ratio(n, x, samples, seed=100) == pytest.approx(
+            (log_e2 - 2.0 * log_e1) / n, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):

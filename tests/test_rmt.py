@@ -1,6 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 
 from trivlab import GridCoverageError
 from trivlab.rmt import (
@@ -12,11 +16,14 @@ from trivlab.rmt import (
     expected_abs_det_shifted_formula,
     expected_abs_det_shifted_mc,
     goe_eigenvalues,
+    goe_log_abs_dets,
+    jackknife_se_of_log_mean,
     rho_n_estimate,
     sample_goe,
+    tridiagonal_log_abs_det,
 )
 
-from oracles import central_diff, goe_density_tail, log_mean_char_poly
+from oracles import central_diff, eig_log_abs_dets, goe_density_tail, log_mean_char_poly
 
 
 # ----------------------------------------------------------------- datatypes
@@ -187,7 +194,84 @@ def test_rho_estimate_validation():
         rho_n_estimate(10, n_samples=10, seed=1, support=(2.0, -2.0))
 
 
+# ------------------------------------------ pivot-recurrence determinants
+
+def _tridiagonal_stack(n, s, seed):
+    rng = np.random.default_rng(seed)
+    diag = rng.standard_normal((s, n)) / math.sqrt(n)
+    off = np.sqrt(rng.chisquare(np.arange(n - 1, 0, -1), size=(s, n - 1))) / math.sqrt(2.0 * n)
+    return diag, off
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 600])
+@pytest.mark.parametrize("x", [3.0, -2.5, 0.3, -1.0])
+def test_pivot_log_abs_det_matches_eigensolve(n, x):
+    # |x| > sqrt(2) is outside the bulk, the other two shifts sit inside it
+    diag, off = _tridiagonal_stack(n, 6, seed=100 + n)
+    got = tridiagonal_log_abs_det(diag, off, x)
+    want = [np.sum(np.log(np.abs(eigvalsh_tridiagonal(d, e) + x))) if n > 1 else np.log(abs(d[0] + x))
+            for d, e in zip(diag, off)]
+    assert got.shape == (6,)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def test_pivot_log_abs_det_per_sample_shifts():
+    diag, off = _tridiagonal_stack(40, 5, seed=7)
+    xs = np.array([2.0, -0.4, 0.0, 1.1, -3.0])
+    got = tridiagonal_log_abs_det(diag, off, xs)
+    want = [tridiagonal_log_abs_det(d[None], e[None], x)[0] for d, e, x in zip(diag, off, xs)]
+    np.testing.assert_array_equal(got, want)
+
+
+def test_pivot_log_abs_det_exact_zero_pivot():
+    # the leading 1x1 minor of [[0, 1, 0], [1, 1, 1], [0, 1, 2]] is singular
+    # (det = -2); the pivmin substitution steps over it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tridiagonal_log_abs_det([[0.0, 1.0, 2.0]], [[1.0, 1.0]])
+        singular = tridiagonal_log_abs_det([[0.0, 0.0], [1.0, -1.0]], [[0.0], [1.0]], [0.0, 0.0])
+        one = tridiagonal_log_abs_det([[0.0]], np.empty((1, 0)))
+    assert got[0] == pytest.approx(math.log(2.0), abs=1e-12)
+    assert np.all(np.isfinite(singular)) and np.all(np.isfinite(one))
+    assert singular[1] == pytest.approx(math.log(2.0), abs=1e-12)  # det [[1, 1], [1, -1]] = -2
+    assert singular[0] < -1000.0 and one[0] < -700.0  # log of a vanishing determinant
+
+
+@pytest.mark.parametrize("method", ["dense", "tridiagonal"])
+def test_goe_log_abs_dets_follow_the_eigenvalue_stream(method, monkeypatch):
+    # blocks of 3 samples (the last one partial) against one eigensolve per
+    # draw, with a shift drawn from the same generator before each matrix
+    import trivlab.rmt as rmt
+
+    monkeypatch.setattr(rmt, "LOGDET_BLOCK_ENTRIES", 3 * 30)
+    logs = {}
+    for route in ("pivots", "eig"):
+        rng = np.random.default_rng(5)
+
+        def shift():
+            return 1.2 + rng.standard_normal()
+
+        if route == "pivots":
+            logs[route] = goe_log_abs_dets(30, 8, rng, shift, method)
+        else:
+            logs[route] = eig_log_abs_dets(30, 8, rng, shift, goe_eigenvalues, method)
+        logs[route + " next"] = rng.standard_normal()
+    np.testing.assert_allclose(logs["pivots"], logs["eig"], rtol=0, atol=1e-12)
+    assert logs["pivots next"] == logs["eig next"]  # same number of draws taken
+
+
 # ------------------------------------------- shifted |det| MC and formula
+
+@pytest.mark.parametrize("n, x, method", [(20, 3.0, "auto"), (50, 2.0, "tridiagonal"),
+                                          (20, -3.0, "dense"), (300, 0.5, "auto"),
+                                          (30, 0.3, "dense")])
+def test_abs_det_mc_matches_eigensolve_oracle(n, x, method):
+    res = expected_abs_det_shifted_mc(n, x, n_samples=300, seed=5, method=method)
+    logs = eig_log_abs_dets(n, 300, np.random.default_rng(5), x, goe_eigenvalues, method)
+    log_mean = float(np.logaddexp.reduce(logs) - math.log(300))
+    assert res["log_mean"] == pytest.approx(log_mean, abs=1e-12)
+    assert res["se"] == pytest.approx(jackknife_se_of_log_mean(logs), abs=1e-12)
+
 
 def test_abs_det_mc_matches_char_poly_oracle():
     # outside the bulk E|det| equals E det up to exp(-n I(x)) corrections
