@@ -5,6 +5,11 @@ error.  All numeric CSV cells use the shortest decimal that round-trips,
 and rows are written in trial order with plain "\n" line endings, so a
 re-run with the same config reproduces the same bytes (wall_time_ms is
 the one honest exception).
+
+A command imports what it runs: ``experiments`` (the Newton searches)
+loads inside ``simulate`` and ``census``, ``verification`` inside
+``verify``, and scipy inside the numerical functions that call it, so
+``predict`` starts without scipy.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .complexity import (
 )
 from .config import RunConfig, config_mapping, emit_config, parse_config_file
 from .errors import ConfigError, TrivlabError
-from .experiments import CENSUS_MIN_STARTS, aggregate, run_census_trials, run_trials
 from .lrc_hessian import BORDERED_MIN_N, EDGE_MIN_TRIALS, edge_tail
 
 TRIALS_CSV_HEADER = (
@@ -169,6 +173,8 @@ def _write_failures(cfg: RunConfig, records) -> None:
 
 
 def _write_trials_outputs(cfg: RunConfig, records, csv_name: str, json_name: str) -> dict:
+    from .experiments import aggregate
+
     report = predictions(cfg.model.build(), cfg.mu)
     summary = aggregate(records, report)
     summary["config"] = config_mapping(cfg)
@@ -188,6 +194,8 @@ def _write_trials_outputs(cfg: RunConfig, records, csv_name: str, json_name: str
 @_guard
 def simulate(config_path, seed):
     """Minimization trials: trials CSV plus a summary JSON."""
+    from .experiments import run_trials
+
     cfg = _load_config(config_path, seed)
     records = run_trials(cfg)
     summary = _write_trials_outputs(cfg, records, "trials.csv", "summary.json")
@@ -204,6 +212,8 @@ def simulate(config_path, seed):
 @_guard
 def census(config_path, seed):
     """Critical-point census trials: per-point CSV."""
+    from .experiments import CENSUS_MIN_STARTS, run_census_trials
+
     cfg = _load_config(config_path, seed)
     if cfg.starts < CENSUS_MIN_STARTS:
         raise ConfigError(f"census needs starts of at least {CENSUS_MIN_STARTS}")

@@ -6,6 +6,9 @@ the trivialization predictions at the global minimum (energy, radius,
 Hessian bulk and lower edge), finite-size Monte Carlo and quadrature
 estimates of the expected count, and the fixed-overlap replica saddle
 equations with their edge dictionary.
+
+scipy is imported inside the Monte Carlo and quadrature functions, not at
+module import: the closed forms (``trivlab predict``) need none of it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .errors import (
     DegenerateConditioningError,
@@ -383,6 +385,8 @@ def expected_crt_mc(model, mu, n, n_samples, seed):
     Returns {"log_value": float, "se": float} with a jackknife standard
     error of the log estimate.
     """
+    from scipy.special import logsumexp
+
     mu = float(mu)
     n = int(n)
     n_samples = int(n_samples)
@@ -429,6 +433,8 @@ def expected_crt_quadrature(model, mu, n, rho_estimate, diagnostics=None):
     realized integrand; a ratio near zero means the truncation is
     suspect (also logged as a warning).
     """
+    from scipy.special import gammaln, logsumexp
+
     mu = float(mu)
     n = int(n)
     if mu <= 0.0:

@@ -17,6 +17,9 @@ with O(1/sqrt(K)) covariance error while staying globally smooth:
 
 ``exact_sample_on_points`` bypasses the feature approximation entirely and
 draws from the closed-form joint covariance on a finite point set.
+
+scipy's BLAS is imported inside the Hessian kernel, so importing the
+package (as every CLI command does) loads no scipy.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
 
 from .errors import IllConditionedCovarianceError
 from .structure_functions import LrcStructure, SrcCorrelator, eval_lrc, eval_src
@@ -262,6 +264,8 @@ def _syrk_hessian(w: np.ndarray, c: np.ndarray) -> np.ndarray:
     half alive at a time; dsyrk fills the lower triangle, which is then
     mirrored.
     """
+    from scipy.linalg.blas import dsyrk
+
     n = w.shape[1]
     neg = c < 0.0
     hess = np.zeros((n, n), order="F")

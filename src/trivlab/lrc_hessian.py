@@ -25,6 +25,9 @@ the corner (the unconditional model, used for conditional-law checks);
 with ``y`` given, z3' is pinned and the corner is drawn from its
 conditional law Normal(a_bar, b^2/N), which is the model at the
 rate-function maximizer where the edge predictions hold.
+
+scipy is imported inside the functions that use it, so importing this
+module (as the CLI does for every command) loads none of it.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.special import logsumexp
 
 from .complexity import predictions, psi_lrc_maximizer
 from .errors import DegenerateConditioningError
@@ -306,6 +307,8 @@ def tridiag_w_lambda_max(model, mu, rho, u, y, n: int, seed: int) -> float:
     and chi_{n-1}, ..., chi_1 off-diagonals; -sqrt(-2 D''(0)/n) lambda_max(W)
     - sqrt(-4 D''(0)) y reproduces lambda_min(G) in law.
     """
+    from scipy.linalg import eigvalsh_tridiagonal
+
     n = int(n)
     if n < BORDERED_MIN_N:
         raise ValueError(f"n must be at least {BORDERED_MIN_N}")
@@ -365,6 +368,8 @@ def second_moment_ratio(n: int, x: float, n_samples: int, seed: int) -> float:
     are accumulated in log-space.  The log-determinants come from the pivot
     recurrence on tridiagonal draws.
     """
+    from scipy.special import logsumexp
+
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")

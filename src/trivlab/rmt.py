@@ -11,6 +11,10 @@ log|det(T + x I)| is the sum of its LDL^T pivots' log magnitudes
 (:func:`tridiagonal_log_abs_det`, vectorized over a block of draws), and a
 dense draw's is one LU ``slogdet``.  :func:`goe_log_abs_dets` draws the
 samples one at a time in the same stream as :func:`goe_eigenvalues`.
+
+scipy submodules are imported inside the functions that use them, so a
+caller that needs only the laws and samplers (``trivlab predict``) starts
+without loading scipy.
 """
 
 from __future__ import annotations
@@ -20,10 +24,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import eigh, eigvalsh_tridiagonal
-from scipy.optimize import linprog
-from scipy.special import gammaln, logsumexp
 
 from .errors import GridCoverageError
 
@@ -142,6 +142,8 @@ def _resolve_method(n: int, method: str) -> str:
 
 def goe_eigenvalues(n: int, rng: np.random.Generator, method: str = "auto") -> np.ndarray:
     """Eigenvalues of one GOE draw using an existing generator (hot-loop path)."""
+    from scipy.linalg import eigh, eigvalsh_tridiagonal
+
     if _resolve_method(n, method) == "dense":
         return eigh(_goe_dense(n, rng), eigvals_only=True)
     diag, off = _goe_tridiagonal(n, rng)
@@ -260,6 +262,9 @@ def bl_distance(p, q, resolution: float | None = None) -> float:
     combined support span).  For two atomic measures the grid is the union of
     atoms and the LP value is exact.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     raw = [_atoms_of(p), _atoms_of(q)]
     lo, hi = np.inf, -np.inf
     for m in raw:
@@ -345,6 +350,8 @@ def rho_n_estimate(
 # ------------------------------------------------- shifted |det| expectation
 
 def jackknife_se_of_log_mean(logs: np.ndarray) -> float:
+    from scipy.special import logsumexp
+
     ns = logs.size
     total = logsumexp(logs)
     # stable leave-one-out log-means
@@ -355,6 +362,8 @@ def jackknife_se_of_log_mean(logs: np.ndarray) -> float:
 
 def expected_abs_det_shifted_mc(n: int, x: float, n_samples: int, seed: int, method: str = "auto") -> dict:
     """Monte-Carlo estimate of log E|det(GOE_n + x I)| with a jackknife SE."""
+    from scipy.special import logsumexp
+
     if n_samples < 2:
         raise ValueError("need at least two samples for a jackknife SE")
     logs = goe_log_abs_dets(n, n_samples, np.random.default_rng(seed), x, method)
@@ -364,6 +373,8 @@ def expected_abs_det_shifted_mc(n: int, x: float, n_samples: int, seed: int, met
 
 def abs_det_identity_log_prefactor(n: int) -> float:
     """log of sqrt(2(n+1)) n^{-n/2} Gamma((n+1)/2)."""
+    from scipy.special import gammaln
+
     return 0.5 * np.log(2.0 * (n + 1)) - 0.5 * n * np.log(n) + gammaln((n + 1) / 2.0)
 
 

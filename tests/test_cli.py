@@ -2,12 +2,15 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
+import trivlab
 from trivlab.cli import main
 from trivlab.config import parse_config, parse_config_file
 
@@ -308,3 +311,38 @@ class TestEmitConfig:
         p2.write_text(res.output)
         res2 = runner.invoke(main, ["emit-config", "--config", str(p2)])
         assert res2.output == res.output
+
+
+HEAVY_MODULES = ("trivlab.experiments", "trivlab.verification")
+
+
+def _modules_after(args):
+    """Heavy modules loaded by a fresh interpreter that runs ``trivlab args``."""
+    script = (
+        "import sys\n"
+        "from trivlab.cli import main\n"
+        f"main({args!r}, standalone_mode=False)\n"
+        "print(' '.join(sorted(m for m in sys.modules\n"
+        "                      if m.split('.')[0] == 'scipy' or m in %r)))\n" % (HEAVY_MODULES,)
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(trivlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+class TestImports:
+    @pytest.mark.parametrize("template", [SRC_YAML, LRC_YAML], ids=["src", "lrc"])
+    def test_predict_loads_no_scipy(self, tmp_path, template):
+        cfg_path, out = write_cfg(tmp_path, template)
+        assert _modules_after(["predict", "--config", cfg_path]) == set()
+        assert (out / "t_predict.json").exists()
+
+    def test_count_loads_scipy_where_it_is_called(self, tmp_path):
+        cfg_path, _ = write_cfg(tmp_path, SRC_YAML)
+        loaded = _modules_after(["count", "--config", cfg_path])
+        assert "scipy.special" in loaded
+        assert not loaded & set(HEAVY_MODULES)
