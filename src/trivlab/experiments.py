@@ -131,6 +131,13 @@ def _descent_step(hess: np.ndarray, grad: np.ndarray, rung: int = 0) -> tuple[np
     0, in at most 1 + log2(SHIFT_RUNGS + 1) factorizations.  Returns
     (direction, rung); the rung is SHIFT_RUNGS when every shift failed and
     the direction is the fallback -grad/scale.
+
+    ``minimize`` passes float32 Hessians (upcast).  Rounding moves each
+    eigenvalue by at most about N * 2^-24 * scale, so the rung is the one
+    the float64 Hessian gets whenever lambda_min lies farther than that
+    from 0 and from every -tau.  Inside that band, which near 0 holds all
+    the lowest rungs (the first is 1e-10 * scale), the two may differ;
+    that changes the step, not the float64 root the search converges to.
     """
     n = hess.shape[0]
     scale = float(np.abs(hess).max()) or 1.0
@@ -161,10 +168,26 @@ def _descent_step(hess: np.ndarray, grad: np.ndarray, rung: int = 0) -> tuple[np
     return -cho_solve(fac, grad, check_finite=False), hi
 
 
-def _minimize_from(field, mu, x0, grad_tol, max_iter=200):
-    """Damped Newton descent from one start; returns (x, eval, converged)."""
+def _value_gradient(field, mu, x):
+    """float64 value and gradient of H at one point, without a Hessian."""
+    value, gradient, _ = _evaluate(field, mu, x[None, :], value=True, gradient=True)
+    return float(value[0]), gradient[0]
+
+
+def _minimize_from(field, mu, x0, grad_tol, counts, max_iter=200):
+    """Damped Newton descent from one start; returns (x, value, gradient, converged).
+
+    Values, gradients and every acceptance test are float64.  The Newton
+    direction comes from a float32 Hessian (``_descent_step`` factors its
+    float64 upcast), formed only where a step is taken, so a start that
+    converges pays no Hessian at its last point.  The fixed point is the
+    float64 root: a float32 Hessian only bends the path, and near the root
+    each step still contracts |grad| by about the Hessian's relative error,
+    as in mixed-precision iterative refinement.  ``counts`` accumulates the
+    solver counters of ``minimize``.
+    """
     x = np.asarray(x0, dtype=float)
-    ev = eval_hamiltonian(field, mu, x)
+    value, gradient = _value_gradient(field, mu, x)
     # Near a root the Armijo decrease ~|grad|^2 sinks below the rounding
     # noise of H itself, so sufficient-decrease tests churn forever.  Once
     # |grad| is small enough that the full Newton step is trustworthy we
@@ -172,34 +195,42 @@ def _minimize_from(field, mu, x0, grad_tol, max_iter=200):
     endgame = max(1e-4 * math.sqrt(field.n), 1e3 * grad_tol)
     rung = 0
     for _ in range(max_iter):
-        gn = float(np.linalg.norm(ev.gradient))
+        gn = float(np.linalg.norm(gradient))
         if gn <= grad_tol:
-            return x, ev, True
-        step, rung = _descent_step(ev.hessian, ev.gradient, rung)
+            return x, value, gradient, True
+        _, _, hess = _evaluate(field, mu, x[None, :], hessian=True, hessian_dtype=np.float32)
+        counts["float32_hessians"] += 1
+        step, rung = _descent_step(hess[0], gradient, rung)
+        counts["newton_steps"] += 1
+        counts["max_rung"] = max(counts["max_rung"], rung)
         if gn <= endgame:
             x_new = x + step
-            ev_new = eval_hamiltonian(field, mu, x_new)
-            if float(np.linalg.norm(ev_new.gradient)) < gn:
-                x, ev = x_new, ev_new
+            value_new, gradient_new = _value_gradient(field, mu, x_new)
+            if float(np.linalg.norm(gradient_new)) < gn:
+                x, value, gradient = x_new, value_new, gradient_new
                 continue
             # Newton step did not contract the gradient; resume damping.
-        slope = float(ev.gradient @ step)
+            counts["endgame_rejects"] += 1
+        slope = float(gradient @ step)
         if slope >= 0.0:  # not a descent direction; fall back to steepest descent
-            step = -ev.gradient
+            step = -gradient
             slope = -gn * gn
         t = 1.0
         accepted = False
         for _ in range(50):
             x_new = x + t * step
-            value = field.field_value(x_new) + 0.5 * mu * float(x_new @ x_new)
-            if value <= ev.value + 1e-4 * t * slope:
-                x, ev = x_new, eval_hamiltonian(field, mu, x_new)
+            counts["probes"] += 1
+            probe = field.field_value(x_new) + 0.5 * mu * float(x_new @ x_new)
+            if probe <= value + 1e-4 * t * slope:
+                x = x_new
+                value, gradient = _value_gradient(field, mu, x)
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
+            counts["exhausted"] += 1
             break  # line search exhausted; report whatever precision we reached
-    return x, ev, float(np.linalg.norm(ev.gradient)) <= grad_tol
+    return x, value, gradient, float(np.linalg.norm(gradient)) <= grad_tol
 
 
 def _newton_root_batch(field, mu, x0s, grad_tol, step_cap, max_iter=100):
@@ -315,34 +346,54 @@ def minimize(field: FieldRealization, mu: float, n_starts: int, seed: int,
     """Locate the global minimum of H by multistart damped Newton descent.
 
     Starts are drawn uniformly in the coercivity ball; the lowest converged
-    value wins.  The record's ``corroborated`` flag reports whether at
-    least three distinct starts landed on the returned point.
+    value wins.  The searches take their Newton directions from float32
+    Hessians (``_minimize_from``); the winner's float64 Hessian is formed
+    once, for the spectrum, ``lambda_min`` and the index.  The record's
+    ``corroborated`` flag reports whether at least three distinct starts
+    landed on the returned point.  Solver counters go out as one DEBUG
+    record on this module's logger, with ``minimize_counts`` attached.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
     n = field.n
     tol = grad_tol * math.sqrt(n)
     radius = _search_radius(field, mu)
+    counts = dict.fromkeys(("newton_steps", "float32_hessians", "float64_hessians", "probes",
+                            "exhausted", "endgame_rejects", "max_rung"), 0)
     converged = []
     failures = []
     for i in range(n_starts):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 1, i)))
         x0 = _uniform_ball(rng, n, radius)
-        x, ev, ok = _minimize_from(field, mu, x0, tol)
+        x, value, gradient, ok = _minimize_from(field, mu, x0, tol, counts)
         if ok:
-            converged.append((float(ev.value), i, x, ev))
+            converged.append((value, i, x))
         else:
-            failures.append((i, float(np.linalg.norm(ev.gradient))))
-    if not converged:
+            failures.append((i, float(np.linalg.norm(gradient))))
+    record = None
+    if converged:
+        converged.sort(key=lambda c: (c[0], c[1]))
+        _, _, best_x = converged[0]
+        agree_tol = AGREEMENT_TOL * math.sqrt(n)
+        n_agree = sum(1 for _, _, x in converged if np.linalg.norm(x - best_x) <= agree_tol)
+        record = _point_record(best_x, eval_hamiltonian(field, mu, best_x), n,
+                               corroborated=n_agree >= 3)
+        counts["float64_hessians"] += 1
+    counts.update(starts=n_starts, converged=len(converged))
+    logger.debug(
+        "minimize on field %(seed)d: %(starts)d starts, %(converged)d converged; "
+        "%(newton_steps)d Newton steps on %(float32_hessians)d float32 Hessians, "
+        "%(float64_hessians)d float64 Hessians; %(probes)d line-search probes, "
+        "%(exhausted)d exhausted, %(endgame_rejects)d endgame rejects; "
+        "highest shift rung %(max_rung)d",
+        dict(counts, seed=field.seed), extra={"minimize_counts": counts},
+    )
+    if record is None:
         worst = ", ".join(f"start {i}: grad {g:.3e}" for i, g in failures[:5])
         raise SearchFailureError(
             f"no start converged to gradient norm {tol:.3e} out of {n_starts} ({worst})"
         )
-    converged.sort(key=lambda c: (c[0], c[1]))
-    _, _, best_x, best_ev = converged[0]
-    agree_tol = AGREEMENT_TOL * math.sqrt(n)
-    n_agree = sum(1 for _, _, x, _ in converged if np.linalg.norm(x - best_x) <= agree_tol)
-    return _point_record(best_x, best_ev, n, corroborated=n_agree >= 3)
+    return record
 
 
 def census(field: FieldRealization, mu: float, n_starts: int,

@@ -195,7 +195,8 @@ def _one_point(x) -> np.ndarray:
 
 
 def _evaluate(field: FieldRealization, mu: float, xs: np.ndarray, *,
-              value: bool = False, gradient: bool = False, hessian: bool = False):
+              value: bool = False, gradient: bool = False, hessian: bool = False,
+              hessian_dtype=np.float64):
     """Value, gradient and Hessian of H = X + (mu/2)|x|^2 at each row of xs.
 
     The one place the feature sum is evaluated: the (S, K) phase matrix
@@ -204,6 +205,24 @@ def _evaluate(field: FieldRealization, mu: float, xs: np.ndarray, *,
     Hessians (S, N, N)), with None for each part not asked for.  Float32
     points are evaluated in float32 against the realization's float32
     copies (a cheap screen); every other input is evaluated in float64.
+
+    ``hessian_dtype=np.float32`` assembles the Hessians of float64 points in
+    float32 (``ssyrk`` against the float32 features, about half the time of
+    ``dsyrk``): the cos weights are formed in float64 and rounded, and the
+    result is upcast before mu is added, so the Hessians come back as
+    float64 matrices with float32 accuracy (good for Newton directions, not
+    for spectra).
+
+    A float64 row depends on the other rows of its batch only through BLAS
+    blocking: GEMM kernels sum the tail of a batch in another order, so a
+    row can differ from the same point evaluated alone in the last bits.
+    The bound is 1e-13 * (1 + max|gradient entry|) per gradient entry; the
+    worst seen is 1.4e-14 at |gradient| about 12 (N=6, K=1024, the first
+    100 rows of 1000 census starts).  So census results that differ only in
+    which points share a batch (the float32 screen on or off, a prefix of
+    the starts) agree to a tolerance, not bit for bit: their tests compare
+    points to 1e-12 and 1e-6 respectively.  Runs on the same
+    starts batch the same way whatever the thread count, and agree exactly.
     """
     xs = np.asarray(xs)
     if xs.dtype == np.float32:
@@ -228,7 +247,9 @@ def _evaluate(field: FieldRealization, mu: float, xs: np.ndarray, *,
         values += 0.5 * mu * np.einsum("ij,ij->i", xs, xs)
     if hessian:
         weights *= amplitudes
-        hessians = _hessians(w, weights)
+        if hessian_dtype == np.float32:
+            w, weights = field._float32[0], weights.astype(np.float32)
+        hessians = _hessians(w, weights).astype(float, copy=False)
         diag = np.arange(field.n)
         hessians[:, diag, diag] += mu
     return values, gradients, hessians
@@ -248,7 +269,7 @@ def _hessians(w: np.ndarray, weights: np.ndarray) -> np.ndarray:
     if n * (n + 1) // 2 > s:
         return np.stack([_syrk_hessian(w, c) for c in weights])
     rows, cols = np.triu_indices(n)
-    out = np.empty((s, n, n))
+    out = np.empty((s, n, n), dtype=weights.dtype)
     packed = weights @ (w[:, rows] * w[:, cols])
     np.negative(packed, out=packed)
     out[:, rows, cols] = packed
@@ -257,25 +278,29 @@ def _hessians(w: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _syrk_hessian(w: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """-sum_k c_k w_k w_k^T as two symmetric rank-K updates (BLAS dsyrk).
+    """-sum_k c_k w_k w_k^T as two symmetric rank-K updates (BLAS syrk).
 
     Features with c_k < 0 add |c_k| w_k w_k^T and the rest subtract it.
-    Each half's rows are copied and scaled by sqrt(|c_k|) in place, one
-    half alive at a time; dsyrk fills the lower triangle, which is then
-    mirrored.
+    Each half's rows are gathered and scaled by sqrt(|c_k|) in place, one
+    half alive at a time; syrk fills the lower triangle, which is then
+    mirrored.  float32 features and weights take ``ssyrk`` and give a
+    float32 matrix; everything else takes ``dsyrk``.
     """
-    from scipy.linalg.blas import dsyrk
+    from scipy.linalg.blas import dsyrk, ssyrk
 
     n = w.shape[1]
+    syrk = ssyrk if w.dtype == np.float32 else dsyrk
     neg = c < 0.0
-    hess = np.zeros((n, n), order="F")
-    for sign, mask in ((1.0, neg), (-1.0, ~neg)):
-        half = w[mask]
-        half *= np.sqrt(np.abs(c[mask]))[:, None]
-        hess = dsyrk(sign, half.T, beta=1.0, c=hess, lower=1, overwrite_c=1)
+    root = np.sqrt(np.abs(c))
+    hess = np.zeros((n, n), dtype=w.dtype, order="F")
+    for sign, rows in ((1.0, np.flatnonzero(neg)), (-1.0, np.flatnonzero(~neg))):
+        half = w.take(rows, axis=0)
+        half *= root[rows, None]
+        hess = syrk(sign, half.T, beta=1.0, c=hess, lower=1, overwrite_c=1)
         del half
-    upper = np.triu_indices(n, 1)
-    hess[upper] = hess.T[upper]
+    # the strict upper triangle is still zero, so adding the transpose of
+    # the strict lower one mirrors it exactly
+    hess += np.tril(hess, -1).T
     return hess
 
 

@@ -142,6 +142,46 @@ def linear_shift_ladder(hess, grad, cho_factor, cho_solve):
     return -grad / scale, 60
 
 
+def float64_descent(field, mu, x0, grad_tol, eval_hamiltonian, descent_step, max_iter=200):
+    """Damped Newton descent with a float64 Hessian at every iterate.
+
+    The reference for the mixed-precision search of ``minimize``: the same
+    endgame, Armijo line search and shift ladder (``descent_step``), with
+    the Newton direction from the full float64 evaluation at each accepted
+    point.  Returns (x, HamiltonianEval, converged, Newton steps).
+    """
+    x = np.asarray(x0, dtype=float)
+    ev = eval_hamiltonian(field, mu, x)
+    endgame = max(1e-4 * np.sqrt(field.n), 1e3 * grad_tol)
+    rung = steps = 0
+    for _ in range(max_iter):
+        gn = float(np.linalg.norm(ev.gradient))
+        if gn <= grad_tol:
+            return x, ev, True, steps
+        step, rung = descent_step(ev.hessian, ev.gradient, rung)
+        steps += 1
+        if gn <= endgame:
+            ev_new = eval_hamiltonian(field, mu, x + step)
+            if float(np.linalg.norm(ev_new.gradient)) < gn:
+                x, ev = x + step, ev_new
+                continue
+        slope = float(ev.gradient @ step)
+        if slope >= 0.0:
+            step = -ev.gradient
+            slope = -gn * gn
+        t = 1.0
+        for _ in range(50):
+            x_new = x + t * step
+            value = field.field_value(x_new) + 0.5 * mu * float(x_new @ x_new)
+            if value <= ev.value + 1e-4 * t * slope:
+                x, ev = x_new, eval_hamiltonian(field, mu, x_new)
+                break
+            t *= 0.5
+        else:
+            break
+    return x, ev, float(np.linalg.norm(ev.gradient)) <= grad_tol, steps
+
+
 def dense_bordered_eigenvalues(z1p, z3p, n, d2_0, rng):
     """Spectrum of the bordered conditional Hessian assembled in the original basis.
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -18,9 +19,9 @@ from trivlab.experiments import (
     run_trials,
 )
 from trivlab.field_sampler import eval_hamiltonian, sample_field
-from trivlab.structure_functions import SrcCorrelator
+from trivlab.structure_functions import LrcStructure, SrcCorrelator
 
-from oracles import linear_shift_ladder
+from oracles import float64_descent, linear_shift_ladder
 
 SRC = SrcCorrelator()
 
@@ -64,6 +65,71 @@ class TestMinimize:
         rho = float(np.linalg.norm(best.x)) / math.sqrt(field.n)
         assert best.value_per_n == pytest.approx(rep.u_star, abs=0.35)
         assert rho == pytest.approx(rep.rho_star, abs=0.2)
+
+
+    def test_counters_add_up(self, caplog):
+        field = small_field()
+        with caplog.at_level("DEBUG", logger="trivlab.experiments"):
+            minimize(field, 3.0, n_starts=4, seed=0)
+        records = [r for r in caplog.records if r.name == "trivlab.experiments"]
+        assert len(records) == 1
+        c = records[0].minimize_counts
+        assert c["starts"] == 4 and 1 <= c["converged"] <= 4
+        # one float64 Hessian per call, at the winner; one float32 Hessian
+        # per Newton step and none anywhere else
+        assert c["float64_hessians"] == 1
+        assert c["float32_hessians"] == c["newton_steps"] > 0
+        assert c["probes"] > 0
+        assert 0 <= c["max_rung"] < SHIFT_RUNGS
+        assert c["exhausted"] >= 0 and c["endgame_rejects"] >= 0
+        assert "4 starts" in records[0].getMessage()
+
+    def test_failed_search_still_logs_its_counters(self, caplog):
+        field = small_field(n=8, k=256)
+        with caplog.at_level("DEBUG", logger="trivlab.experiments"):
+            with pytest.raises(SearchFailureError):
+                minimize(field, 3.0, n_starts=1, seed=0, grad_tol=1e-300)
+        c = caplog.records[-1].minimize_counts
+        assert c["converged"] == 0 and c["float64_hessians"] == 0
+        assert c["float32_hessians"] == c["newton_steps"] > 0
+
+
+class TestMixedPrecision:
+    """float32 search Hessians against the all-float64 descent (oracle)."""
+
+    # (model, mu, N, K, field seed), fixed before the first run
+    FIELDS = [
+        (SRC, 3.0, 24, 1024, 61),
+        (SRC, 3.0, 100, 2048, 62),
+        (SRC, 3.0, 200, 4096, 63),
+        (LrcStructure(), 2.0, 50, 1024, 64),
+    ]
+    STARTS = 3
+
+    @pytest.mark.parametrize("model,mu,n,k,seed", FIELDS,
+                             ids=["src-24", "src-100", "src-200", "lrc-50"])
+    def test_same_minimum_as_float64_descent(self, model, mu, n, k, seed):
+        field = sample_field(model, n, k, seed)
+        best = minimize(field, mu, self.STARTS, seed)
+        tol = 1e-10 * math.sqrt(n)
+        radius = experiments._search_radius(field, mu)
+        found = []
+        for i in range(self.STARTS):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, 1, i)))
+            x0 = experiments._uniform_ball(rng, n, radius)
+            counts = collections.Counter()
+            _, _, _, ok = experiments._minimize_from(field, mu, x0, tol, counts)
+            x, ev, oracle_ok, oracle_steps = float64_descent(
+                field, mu, x0, tol, eval_hamiltonian, _descent_step)
+            assert ok and oracle_ok
+            assert counts["newton_steps"] <= oracle_steps + 2, i
+            found.append((ev.value, i, x, ev))
+        value, _, x, ev = min(found, key=lambda f: (f[0], f[1]))
+        assert best.value_per_n == pytest.approx(value / n, rel=0.0, abs=1e-12)
+        assert np.linalg.norm(best.x - x) <= 1e-8 * math.sqrt(n)
+        np.testing.assert_allclose(best.eigenvalues, np.linalg.eigvalsh(ev.hessian),
+                                   rtol=0.0, atol=1e-7)
+        assert best.index == 0
 
 
 class TestCensus:
@@ -357,3 +423,33 @@ class TestDescentStep:
         got, rung = _descent_step(self.cases()["nan_entry"], grad)
         assert rung == SHIFT_RUNGS and calls[0] == 0
         assert np.isnan(got).all()
+
+    @pytest.mark.parametrize("n", [30, 200])
+    def test_float32_rounding_keeps_the_rung(self, n):
+        # lambda_min at least 1e-4 * scale away from 0 and from every -tau_j:
+        # the float32 rounding (at most about N 2^-24 scale in norm) cannot
+        # move it across a rung, so the shift is the float64 one
+        rng = np.random.default_rng(19)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        grad = rng.standard_normal(n)
+        eigs = np.linspace(1.0, 10.0, n)
+        eigs[0] = 0.0
+        scale0 = float(np.abs((q * eigs) @ q.T).max())
+        rungs = set()
+        # lambda_min / scale: two positive, then one between each pair of
+        # rungs 2^24 and 2^25, 2^28 and 2^29, 2^31 and 2^32, 2^34 and 2^35
+        for lam_min in (0.5, 0.01, -0.003, -0.05, -0.4, -3.0):
+            eigs[0] = lam_min * scale0
+            hess = (q * eigs) @ q.T
+            hess = 0.5 * (hess + hess.T)
+            scale = float(np.abs(hess).max())
+            taus = 1e-10 * scale * 2.0 ** np.arange(SHIFT_RUNGS - 1)
+            lam = float(np.linalg.eigvalsh(hess)[0])
+            assert min(abs(lam), np.abs(lam + taus).min()) >= 1e-4 * scale, lam_min
+            rounded = hess.astype(np.float32).astype(float)
+            _, want = _descent_step(hess, grad)
+            _, got = _descent_step(rounded, grad)
+            assert got == want, lam_min
+            rungs.add(want)
+        # the cases cover the unshifted factorization and several rungs
+        assert 0 in rungs and len(rungs) >= 4

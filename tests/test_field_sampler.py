@@ -14,7 +14,7 @@ from trivlab import (
     exact_sample_on_points,
     sample_field,
 )
-from trivlab.experiments import SCREEN_MARGIN, _search_radius
+from trivlab.experiments import SCREEN_MARGIN, _search_radius, _uniform_ball
 from trivlab.field_sampler import _evaluate, covariance_on_points
 
 from oracles import dense_field_hessian, lrc_pointwise_covariance
@@ -426,3 +426,31 @@ def test_float32_gradient_norm_within_screen_margin(model, n, k):
     gn32 = np.linalg.norm(g32, axis=1).astype(float)
     margin = SCREEN_MARGIN * (gn64 + math.sqrt(n))
     assert np.all(np.abs(gn32 - gn64) <= margin / 10)
+
+
+def test_float64_rows_depend_on_the_batch_only_in_the_last_bits():
+    # BLAS sums a batch's tail in another order, so a row of a 1000-point
+    # batch need not equal the point evaluated alone; _evaluate states the
+    # bound, and census comparisons across batch compositions rely on it
+    field = sample_field(DEFAULT_SRC, 6, 1024, seed=7100)
+    radius = _search_radius(field, 1.0)
+    xs = np.array([_uniform_ball(np.random.default_rng(np.random.SeedSequence((7101, 2, i))),
+                                 6, radius) for i in range(1000)])
+    _, batch, _ = _evaluate(field, 1.0, xs, gradient=True)
+    for x, g in zip(xs[:100], batch[:100]):
+        _, alone, _ = _evaluate(field, 1.0, x[None, :], gradient=True)
+        assert np.abs(g - alone[0]).max() <= 1e-13 * (1.0 + np.abs(alone[0]).max())
+
+
+def test_float32_hessian_is_the_float64_one_to_float32_accuracy():
+    field = sample_field(DEFAULT_SRC, 40, 2048, seed=38)
+    xs = np.random.default_rng(39).standard_normal((2, 40))
+    for x in xs:
+        _, _, h64 = _evaluate(field, 1.5, x[None, :], hessian=True)
+        _, _, h32 = _evaluate(field, 1.5, x[None, :], hessian=True, hessian_dtype=np.float32)
+        assert h32.dtype == np.float64 and (h32[0] == h32[0].T).all()
+        # mu is added after the upcast, so the diagonal carries it exactly
+        _, _, bare = _evaluate(field, 0.0, x[None, :], hessian=True, hessian_dtype=np.float32)
+        np.testing.assert_array_equal(h32[0], bare[0] + 1.5 * np.eye(40))
+        err = np.abs(h32 - h64).max()
+        assert 0.0 < err <= 1e-5 * np.abs(h64).max()
