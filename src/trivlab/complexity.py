@@ -3,8 +3,8 @@
 Scalar rate functions for the expected number of critical points of a
 confined locally isotropic Gaussian field, their closed-form maximizers,
 the trivialization predictions at the global minimum (energy, radius,
-Hessian bulk and lower edge), finite-size Monte Carlo and quadrature
-estimates of the expected count, and the fixed-overlap replica saddle
+Hessian bulk and lower edge), the finite-size expected count by Monte
+Carlo and by exact quadrature, and the fixed-overlap replica saddle
 equations with their edge dictionary.
 
 scipy is imported inside the Monte Carlo and quadrature functions, not at
@@ -20,16 +20,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateConditioningError,
-    GridCoverageError,
-    UnsupportedRegimeError,
-)
+from .errors import DegenerateConditioningError, UnsupportedRegimeError
 from .rmt import (
-    DensityEstimate,
     SemicircleLaw,
     goe_eigenvalues,  # noqa: F401  unused here; perfbench/tracer.py hooks this name
     goe_log_abs_dets,
+    goe_log_density,
     jackknife_se_of_log_mean,
 )
 from .structure_functions import (
@@ -48,6 +44,8 @@ _HALF_LOG2 = 0.5 * math.log(2.0)
 
 # fewest Monte Carlo samples expected_crt_mc accepts
 CRT_MC_MIN_SAMPLES = 100
+# trapezoid points of expected_crt_quadrature over its integration box
+CRT_QUADRATURE_POINTS = 4001
 
 
 def phi(x):
@@ -419,19 +417,19 @@ def expected_crt_mc(model, mu, n, n_samples, seed):
     return {"log_value": log_value, "se": jackknife_se_of_log_mean(logs)}
 
 
-def expected_crt_quadrature(model, mu, n, rho_estimate, diagnostics=None):
-    """log E[number of critical points] by quadrature against a density.
+def expected_crt_quadrature(model, mu, n, diagnostics=None):
+    """log E[number of critical points] by quadrature against the exact density.
 
-    rho_estimate must be a DensityEstimate of the mean empirical
-    spectral density at size n + 1.  The integrand is the product of a
-    Gaussian tilt kernel and the density; the integration box is the
-    union of the 6-sigma boxes of the tilt kernel and of the
-    tilt-times-density envelope, and the estimate grid must cover it.
+    The integrand is the product of a Gaussian tilt kernel and the exact
+    mean level density of GOE_{n+1} (:func:`rmt.goe_log_density`); the
+    integration box is the union of the 6-sigma boxes of the tilt kernel
+    and of the tilt-times-density envelope, and the rule is a trapezoid
+    with ``CRT_QUADRATURE_POINTS`` points over it.
 
     Returns the log value.  If `diagnostics` is a dict it is updated
     with the box and with the boundary-to-peak log ratio of the
-    realized integrand; a ratio near zero means the truncation is
-    suspect (also logged as a warning).
+    integrand; a ratio near zero means the truncation is suspect (also
+    logged as a warning).
     """
     from scipy.special import gammaln, logsumexp
 
@@ -441,8 +439,6 @@ def expected_crt_quadrature(model, mu, n, rho_estimate, diagnostics=None):
         raise ValueError("mu must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not isinstance(rho_estimate, DensityEstimate):
-        raise TypeError("rho_estimate must be a DensityEstimate")
     a, _sigma = _hessian_scales(model)
     m = -mu / a
     np1 = n + 1
@@ -452,30 +448,11 @@ def expected_crt_quadrature(model, mu, n, rho_estimate, diagnostics=None):
     s2 = 1.0 / math.sqrt(2.0 * np1)
     lo = min(w1 - 6.0 * s1, w2 - 6.0 * s2)
     hi = max(w1 + 6.0 * s1, w2 + 6.0 * s2)
-    grid = rho_estimate.grid
-    if lo < grid[0] or hi > grid[-1]:
-        raise GridCoverageError(
-            f"density grid [{grid[0]:.4g}, {grid[-1]:.4g}] does not cover "
-            f"the integration box [{lo:.4g}, {hi:.4g}]"
-        )
-    inside = (grid >= lo) & (grid <= hi)
-    x = grid[inside]
-    vals = rho_estimate.values[inside]
-    if x.size < 2:
-        raise GridCoverageError("fewer than two grid points inside the integration box")
-    pos = vals > 0.0
-    if not pos.any():
-        raise GridCoverageError(
-            "estimated density carries no mass inside the integration box"
-        )
-    with np.errstate(divide="ignore"):
-        log_f = -0.5 * np1 * x * x + 2.0 * math.sqrt(n * np1) * m * x + np.log(vals)
-    # Trapezoid weights on a possibly nonuniform grid.
-    wts = np.empty_like(x)
-    wts[1:-1] = 0.5 * (x[2:] - x[:-2])
-    wts[0] = 0.5 * (x[1] - x[0])
-    wts[-1] = 0.5 * (x[-1] - x[-2])
-    log_integral = float(logsumexp(log_f[pos] + np.log(wts[pos])))
+    x = np.linspace(lo, hi, CRT_QUADRATURE_POINTS)
+    log_f = -0.5 * np1 * x * x + 2.0 * math.sqrt(n * np1) * m * x + goe_log_density(np1, x)
+    log_wts = np.full_like(x, math.log(x[1] - x[0]))
+    log_wts[[0, -1]] -= math.log(2.0)
+    log_integral = float(logsumexp(log_f + log_wts))
     log_pref = (
         _HALF_LOG2
         + gammaln(0.5 * np1)
@@ -485,7 +462,7 @@ def expected_crt_quadrature(model, mu, n, rho_estimate, diagnostics=None):
         - 0.5 * n * math.log(n)
         - n * m * m
     )
-    peak = float(np.max(log_f[pos]))
+    peak = float(np.max(log_f))
     boundary = float(max(log_f[0], log_f[-1]))
     ratio = boundary - peak
     if ratio > -6.0:
@@ -498,7 +475,7 @@ def expected_crt_quadrature(model, mu, n, rho_estimate, diagnostics=None):
     if diagnostics is not None:
         diagnostics["box"] = (lo, hi)
         diagnostics["boundary_log_ratio"] = ratio
-    return log_pref + log_integral
+    return float(log_pref + log_integral)
 
 
 @dataclass(frozen=True)

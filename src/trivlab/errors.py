@@ -21,9 +21,5 @@ class SearchFailureError(TrivlabError):
     """An optimization or root search failed to converge from any start."""
 
 
-class GridCoverageError(TrivlabError):
-    """A query point or integration box falls outside the supplied grid."""
-
-
 class ConfigError(TrivlabError):
     """A run configuration file is malformed or inconsistent."""

@@ -12,6 +12,9 @@ log|det(T + x I)| is the sum of its LDL^T pivots' log magnitudes
 dense draw's is one LU ``slogdet``.  :func:`goe_log_abs_dets` draws the
 samples one at a time in the same stream as :func:`goe_eigenvalues`.
 
+The mean level density is exact at every n (:func:`goe_log_density`), and
+the shifted-determinant identity evaluates against it.
+
 scipy submodules are imported inside the functions that use them, so a
 caller that needs only the laws and samplers (``trivlab predict``) starts
 without loading scipy.
@@ -24,8 +27,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import GridCoverageError
 
 DENSE_METHOD_MAX_N = 256
 # matrix entries per pivot-recurrence block: samples * n stays below this
@@ -84,38 +85,6 @@ class SemicircleLaw:
         r2 = self.radius * self.radius
         out = 0.5 + u * np.sqrt(r2 - u * u) / (np.pi * r2) + np.arcsin(u / self.radius) / np.pi
         return out if np.ndim(x) else float(out)
-
-
-@dataclass(frozen=True)
-class DensityEstimate:
-    """A density tabulated on an increasing grid; must integrate to ~1."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    n_samples: int
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if g.ndim != 1 or g.shape != v.shape or g.size < 2:
-            raise ValueError("grid and values must be 1-d arrays of equal length >= 2")
-        if np.any(np.diff(g) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        if np.any(v < 0):
-            raise ValueError("density values must be nonnegative")
-        if self.n_samples <= 0:
-            raise ValueError("n_samples must be positive")
-        mass = float(np.trapezoid(v, g))
-        if not (0.99 <= mass <= 1.01):
-            raise ValueError(f"density mass {mass:.4f} outside [0.99, 1.01]")
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", v)
-
-    def __call__(self, x: float) -> float:
-        g, v = self.grid, self.values
-        if x < g[0] or x > g[-1]:
-            raise GridCoverageError(f"query {x} outside estimated range [{g[0]}, {g[-1]}]")
-        return float(np.interp(x, g, v))
 
 
 # ------------------------------------------------------------------ sampling
@@ -318,33 +287,64 @@ def bl_distance(p, q, resolution: float | None = None) -> float:
 
 # ------------------------------------------------------------- level density
 
-def rho_n_estimate(
-    n: int,
-    n_samples: int,
-    seed: int,
-    bin_width: float = 0.02,
-    support: tuple[float, float] = (-3.0, 3.0),
-    method: str = "auto",
-) -> DensityEstimate:
-    """Histogram estimate of the mean GOE_n level density on a fixed window.
+_RESCALE_ABOVE = 2.0 ** 250
+_LOG_RESCALE = 250.0 * math.log(2.0)
 
-    All ``n * n_samples`` eigenvalues across draws are pooled; the returned
-    values are per-eigenvalue density (integrates to ~1 since the spectrum is
-    essentially contained in the default window).
+
+def goe_log_density(n: int, x):
+    """log rho_n(x), the exact mean level density of GOE_n (mass one).
+
+    sqrt(n) GOE_n has joint eigenvalue density prop. to |Delta| e^{-sum l^2/2},
+    whose one-point function of mass n is (Mehta, *Random Matrices*, ch. 7)
+
+        rho_M(t) = sum_{k<n} phi_k(t)^2
+                   + sqrt(n/2) phi_{n-1}(t) int eps(t - u) phi_n(u) du
+                   + [n odd] phi_{n-1}(t) / int phi_{n-1},
+
+    with phi_k the orthonormal Hermite functions and eps(u) = sgn(u) / 2, so
+    rho_n(x) = rho_M(sqrt(n) |x|) / sqrt(n).  phi_k (three-term recurrence)
+    and the tail integrals J_k(t) = int_t^inf phi_k (J_0 from erfcx,
+    J_1 = sqrt(2) phi_0, J_{k+1} = sqrt(k/(k+1)) J_{k-1} + sqrt(2/(k+1)) phi_k)
+    run forward together; int eps(t - u) phi_n(u) du = I_n / 2 - J_n with
+    I_n = int phi_n, which vanishes for odd n.  Every term is carried as a
+    multiple of a per-x scale e^s, which starts at e^{-t^2/2} and grows by
+    2^250 whenever a Hermite term passes 2^250, so nothing under- or
+    overflows at any n or x.
+    Vectorized over ``x``; costs n sweeps over the points.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    lo, hi = support
-    if not hi > lo:
-        raise ValueError("support must be a nonempty interval")
-    edges = np.arange(lo, hi + bin_width / 2, bin_width)
-    rng = np.random.default_rng(seed)
-    pooled = np.concatenate([goe_eigenvalues(n, rng, method=method) for _ in range(n_samples)])
-    counts = np.histogram(pooled, bins=edges)[0]
-    total = n * n_samples
-    values = counts / (total * bin_width)
-    centers = (edges[:-1] + edges[1:]) / 2.0
-    return DensityEstimate(grid=centers, values=values, n_samples=n_samples)
+    from scipy.special import erfcx, gammaln
+
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    xs = np.asarray(x, dtype=float)
+    t = math.sqrt(n) * np.abs(xs.ravel())
+    log_scale = -0.5 * t * t
+    p_prev, p = np.zeros_like(t), np.full_like(t, math.pi ** -0.25)  # phi_{k-1}, phi_k
+    j_prev, j = np.zeros_like(t), math.pi ** 0.25 / math.sqrt(2.0) * erfcx(t / math.sqrt(2.0))
+    sq = np.zeros_like(t)  # sum_{i<k} phi_i^2, in units of e^{2s}
+    for k in range(n):
+        big = np.abs(p) > _RESCALE_ABOVE
+        if big.any():
+            for term in (p_prev, p, j_prev, j):
+                term[big] /= _RESCALE_ABOVE
+            sq[big] /= _RESCALE_ABOVE ** 2
+            log_scale[big] += _LOG_RESCALE
+        sq += p * p
+        a, b = math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1.0))
+        p_prev, p = p, a * t * p - b * p_prev
+        j_prev, j = j, b * j_prev + a * p_prev
+    # now p_prev = phi_{n-1} and j = J_n; I_{2m} = I_0 sqrt(Gamma(m + 1/2) / (Gamma(1/2) m!))
+    m = n // 2
+    full = math.sqrt(2.0) * math.pi ** 0.25 * math.exp(
+        0.5 * (gammaln(m + 0.5) - gammaln(0.5) - gammaln(m + 1.0)))
+    scale = np.exp(log_scale)
+    if n % 2:  # I_n = 0; full = I_{n-1}
+        inner = sq * scale + p_prev * (1.0 / full - math.sqrt(0.5 * n) * j * scale)
+    else:  # full = I_n
+        inner = sq * scale + math.sqrt(0.5 * n) * p_prev * (0.5 * full - j * scale)
+    out = (log_scale + np.log(inner) - 0.5 * math.log(n)).reshape(xs.shape)
+    return out if out.ndim else float(out)
 
 
 # ------------------------------------------------- shifted |det| expectation
@@ -378,18 +378,11 @@ def abs_det_identity_log_prefactor(n: int) -> float:
     return 0.5 * np.log(2.0 * (n + 1)) - 0.5 * n * np.log(n) + gammaln((n + 1) / 2.0)
 
 
-def expected_abs_det_shifted_formula(n: int, x: float, rho_estimate: DensityEstimate) -> float:
+def expected_abs_det_shifted_formula(n: int, x: float) -> float:
     """log E|det(GOE_n + x I)| via the mean-density identity.
 
-    Uses ``prefactor * exp(n x^2 / 2) * rho_{n+1}(sqrt(n/(n+1)) x)`` where
-    ``rho_estimate`` must tabulate the level density of the (n+1)-point
-    ensemble.  The density is linearly interpolated; queries outside the grid
-    or in bins with no recorded mass raise GridCoverageError.
+    E|det(GOE_n + x I)| = prefactor * exp(n x^2 / 2) * rho_{n+1}(sqrt(n/(n+1)) x),
+    with the exact density of :func:`goe_log_density`.
     """
-    w = np.sqrt(n / (n + 1.0)) * x
-    rho = rho_estimate(w)
-    if rho <= 0.0:
-        raise GridCoverageError(
-            f"density estimate has no mass at query {w:.4f}; the formula needs tail data there"
-        )
-    return float(abs_det_identity_log_prefactor(n) + n * x * x / 2.0 + np.log(rho))
+    w = math.sqrt(n / (n + 1.0)) * x
+    return float(abs_det_identity_log_prefactor(n) + n * x * x / 2.0 + goe_log_density(n + 1, w))

@@ -316,6 +316,17 @@ class TestEmitConfig:
 HEAVY_MODULES = ("trivlab.experiments", "trivlab.verification")
 
 
+def _run_fresh(script):
+    """stdout of a fresh interpreter that runs ``script`` against this package."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(trivlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def _modules_after(args):
     """Heavy modules loaded by a fresh interpreter that runs ``trivlab args``."""
     script = (
@@ -325,13 +336,7 @@ def _modules_after(args):
         "print(' '.join(sorted(m for m in sys.modules\n"
         "                      if m.split('.')[0] == 'scipy' or m in %r)))\n" % (HEAVY_MODULES,)
     )
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(trivlab.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
+    return set(_run_fresh(script).splitlines()[-1].split())
 
 
 class TestImports:
@@ -346,3 +351,17 @@ class TestImports:
         loaded = _modules_after(["count", "--config", cfg_path])
         assert "scipy.special" in loaded
         assert not loaded & set(HEAVY_MODULES)
+
+    def test_every_module_imports_without_mpmath(self):
+        # mpmath is a test dependency only: tests/oracles.py uses it, src/ must not
+        script = (
+            "import importlib, pkgutil, sys\n"
+            "sys.modules['mpmath'] = None  # makes every import of mpmath fail\n"
+            "import trivlab\n"
+            "names = [m.name for m in pkgutil.walk_packages(trivlab.__path__, 'trivlab.')]\n"
+            "for name in names:\n"
+            "    importlib.import_module(name)\n"
+            "print(' '.join(names))\n"
+        )
+        names = set(_run_fresh(script).split())
+        assert {"trivlab.cli", "trivlab.rmt", "trivlab.complexity", "trivlab.verification"} <= names

@@ -1,4 +1,6 @@
+import functools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,8 +10,6 @@ from scipy.special import logsumexp
 
 from trivlab import (
     ComplexityPoint,
-    DensityEstimate,
-    GridCoverageError,
     LrcStructure,
     SrcCorrelator,
     UnsupportedRegimeError,
@@ -29,10 +29,11 @@ from trivlab import (
     replica_solve,
     trivialization_threshold,
 )
+import trivlab.complexity as complexity
 from trivlab.complexity import _hessian_scales
 from trivlab.rmt import DENSE_METHOD_MAX_N, goe_eigenvalues, jackknife_se_of_log_mean
 
-from oracles import eig_expected_crt_mc, goe_density_tail
+from oracles import eig_expected_crt_mc
 
 SQRT2 = math.sqrt(2.0)
 
@@ -42,13 +43,19 @@ SQRT2 = math.sqrt(2.0)
 SRC_NONDEGENERATE = SrcCorrelator(c0=0.2, atoms=((0.7, 1.0), (0.3, 1.3)))
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(nodes):
+    return np.polynomial.legendre.leggauss(nodes)
+
+
 def semicircle_log_potential(x, nodes=4000):
     """int log|x - t| sc(dt) by Gauss-Legendre after t = sqrt(2) sin(theta).
 
     The substitution removes the square-root endpoint singularity of the
     density; only the (integrable) log singularity remains when |x| < sqrt(2).
+    The rule is built once per node count.
     """
-    t, w = np.polynomial.legendre.leggauss(nodes)
+    t, w = _gauss_legendre(nodes)
     theta = 0.5 * np.pi * t
     wt = 0.5 * np.pi * w
     s = SQRT2 * np.sin(theta)
@@ -391,6 +398,8 @@ def test_expected_crt_mc_matches_size_one_closed_form(model, mu, s_sq):
     exact = math.log(folded_normal_mean(mu, math.sqrt(s_sq))) - math.log(mu)
     est = expected_crt_mc(model, mu, 1, 20000, seed=42)
     assert abs(est["log_value"] - exact) <= max(3.5 * est["se"], 0.02)
+    # the quadrature against the exact GOE_2 density is exact there too
+    assert expected_crt_quadrature(model, mu, 1) == pytest.approx(exact, abs=1e-10)
 
 
 def test_expected_crt_mc_supercritical_near_one():
@@ -421,43 +430,10 @@ def test_expected_crt_mc_matches_eigensolve_oracle(model, mu, n):
     assert est["se"] == pytest.approx(ref["se"], abs=1e-12)
 
 
-def hybrid_goe_density(n, segments, tail_from, n_draws, seed, bin_width=0.02):
-    """DensityEstimate for size n: symmetrized histogram inside |w| < tail_from,
-    characteristic-polynomial tail outside.
-
-    The histogram carries the bulk, where sampling is cheap and the tail
-    formula breaks down; the tail formula carries the region where the
-    histogram is starved of counts.
-    """
-    grid = np.unique(
-        np.round(np.concatenate([np.arange(a, b, s) for a, b, s in segments]), 9)
-    )
-    rng = np.random.default_rng(seed)
-    eigs = np.concatenate([goe_eigenvalues(n, rng, "dense") for _ in range(n_draws)])
-    edges = np.arange(-tail_from, tail_from + 0.5 * bin_width, bin_width)
-    counts, _ = np.histogram(eigs, bins=edges)
-    dens = counts / (eigs.size * bin_width)
-    dens = 0.5 * (dens + dens[::-1])  # the ensemble is symmetric
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    vals = np.empty_like(grid)
-    inner = np.abs(grid) < tail_from - bin_width
-    vals[inner] = np.interp(grid[inner], centers, dens)
-    for i in np.nonzero(~inner)[0]:
-        vals[i] = goe_density_tail(n, grid[i])
-    return DensityEstimate(grid=grid, values=vals, n_samples=n_draws)
-
-
 def test_quadrature_matches_mc_supercritical():
     model, mu, n = SrcCorrelator(), 3.0, 30
-    segments = [
-        (-4.2, -2.2, 0.02),
-        (-2.2, -1.62, 0.005),
-        (-1.62, 1.62, 0.02),
-        (1.62, 4.2, 0.05),
-    ]
-    dens = hybrid_goe_density(n + 1, segments, tail_from=1.7, n_draws=60000, seed=303)
     diag = {}
-    log_quad = expected_crt_quadrature(model, mu, n, dens, diagnostics=diag)
+    log_quad = expected_crt_quadrature(model, mu, n, diagnostics=diag)
     est = expected_crt_mc(model, mu, n, 30000, seed=304)
     assert abs(log_quad - est["log_value"]) <= math.log(1.10)
     assert diag["box"][0] < -3.0 < diag["box"][1] + 3.0
@@ -466,28 +442,16 @@ def test_quadrature_matches_mc_supercritical():
 
 def test_quadrature_deep_trivialization_limit():
     # for very stiff confinement the expected count is exactly one critical
-    # point up to O(1/n); the integrand lives deep in the spectral tail where
-    # only the characteristic-polynomial density is available
+    # point up to O(1/n); the integrand lives deep in the spectral tail
     model, mu, n = SrcCorrelator(), 20.0, 30
-    segments = [
-        (-15.6, -8.3, 0.05),
-        (-8.3, -5.7, 0.002),
-        (-5.7, -1.62, 0.02),
-        (-1.62, 1.62, 0.02),
-        (1.62, 2.6, 0.1),
-    ]
-    dens = hybrid_goe_density(n + 1, segments, tail_from=1.7, n_draws=6000, seed=505)
-    log_quad = expected_crt_quadrature(model, mu, n, dens)
+    log_quad = expected_crt_quadrature(model, mu, n)
     assert 0.95 <= math.exp(log_quad) <= 1.05
 
 
 def test_quadrature_matches_mc_subcritical():
-    from trivlab import rho_n_estimate
-
     model, mu, n = SrcCorrelator(), 1.0, 60
-    dens = rho_n_estimate(n + 1, 30000, seed=606, support=(-4.0, 4.0))
     diag = {}
-    log_quad = expected_crt_quadrature(model, mu, n, dens, diagnostics=diag)
+    log_quad = expected_crt_quadrature(model, mu, n, diagnostics=diag)
     est = expected_crt_mc(model, mu, n, 20000, seed=607)
     assert abs(log_quad - est["log_value"]) <= 0.1
     assert diag["boundary_log_ratio"] < -6.0
@@ -495,22 +459,45 @@ def test_quadrature_matches_mc_subcritical():
     assert log_quad / n == pytest.approx(math.log(2.0) - 0.375, abs=0.1)
 
 
-def test_quadrature_grid_coverage_errors():
-    from trivlab import rho_n_estimate
+@pytest.mark.parametrize("model,mu,n", [(SrcCorrelator(), 3.0, 30), (LrcStructure(), 2.0, 30),
+                                        (SrcCorrelator(), 1.0, 6)])
+def test_quadrature_matches_mc_over_seeds(model, mu, n):
+    # 20 independent MC estimates, each within 4 jackknife SE of the exact value:
+    # a false-alarm rate of about 20 * 6e-5 = 1.3e-3 if the z-scores are normal
+    exact = expected_crt_quadrature(model, mu, n)
+    z = []
+    for seed in range(20):
+        est = expected_crt_mc(model, mu, n, 2000, seed=5100 + seed)
+        z.append((est["log_value"] - exact) / est["se"])
+    assert np.max(np.abs(z)) <= 4.0, z
 
-    model = SrcCorrelator()
-    narrow = rho_n_estimate(31, 2000, seed=9, support=(-3.0, 3.0))
-    with pytest.raises(GridCoverageError):
-        expected_crt_quadrature(model, 3.0, 30, narrow)
-    # full coverage but no mass where the integrand lives: a compactly
-    # supported triangle far to the right of the integration box
-    grid = np.linspace(-4.0, 4.0, 801)
-    vals = 2.0 * np.maximum(0.0, 1.0 - np.abs(grid - 2.0) / 0.5)
-    bump = DensityEstimate(grid=grid, values=vals, n_samples=1)
-    with pytest.raises(GridCoverageError):
-        expected_crt_quadrature(model, 3.0, 30, bump)
-    with pytest.raises(TypeError):
-        expected_crt_quadrature(model, 3.0, 30, "not a density")
+
+@pytest.mark.parametrize("model,mu", [(SrcCorrelator(), 3.0), (LrcStructure(), 2.0)])
+def test_quadrature_count_is_at_least_one_up_to_n_1e4(model, mu):
+    # a coercive H has a critical point, so log E Crt >= 0 up to rounding
+    for n in (1, 2, 5, 25, 100, 600, 2000):
+        assert expected_crt_quadrature(model, mu, n) >= -1e-11, n
+    t0 = time.perf_counter()
+    log_value = expected_crt_quadrature(model, mu, 10_000)
+    wall = time.perf_counter() - t0
+    assert log_value >= -1e-11
+    assert wall < 2.0
+
+
+def test_quadrature_rule_is_converged(monkeypatch):
+    values = []
+    for points in (complexity.CRT_QUADRATURE_POINTS, 2 * complexity.CRT_QUADRATURE_POINTS - 1):
+        monkeypatch.setattr(complexity, "CRT_QUADRATURE_POINTS", points)
+        values.append([expected_crt_quadrature(SrcCorrelator(), mu, n)
+                       for mu, n in ((3.0, 25), (1.0, 6), (1.0, 600), (20.0, 30))])
+    np.testing.assert_allclose(values[0], values[1], rtol=0, atol=1e-10)
+
+
+def test_quadrature_validates():
+    with pytest.raises(ValueError):
+        expected_crt_quadrature(SrcCorrelator(), 0.0, 30)
+    with pytest.raises(ValueError):
+        expected_crt_quadrature(SrcCorrelator(), 3.0, 0)
 
 
 @pytest.mark.parametrize("model", [

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
-from trivlab import GridCoverageError
+from trivlab.complexity import phi
 from trivlab.rmt import (
-    DensityEstimate,
     SemicircleLaw,
     SpectrumSample,
     abs_det_identity_log_prefactor,
@@ -17,13 +16,19 @@ from trivlab.rmt import (
     expected_abs_det_shifted_mc,
     goe_eigenvalues,
     goe_log_abs_dets,
+    goe_log_density,
     jackknife_se_of_log_mean,
-    rho_n_estimate,
     sample_goe,
     tridiagonal_log_abs_det,
 )
 
-from oracles import central_diff, eig_log_abs_dets, goe_density_tail, log_mean_char_poly
+from oracles import (
+    central_diff,
+    eig_log_abs_dets,
+    goe_density_formula,
+    goe_density_tail,
+    log_mean_char_poly,
+)
 
 
 # ----------------------------------------------------------------- datatypes
@@ -53,23 +58,6 @@ def test_semicircle_cdf_derivative_is_pdf(center, radius, t):
     law = SemicircleLaw(center=center, radius=radius)
     x = center + t * radius
     assert central_diff(law.cdf, x, h=1e-6) == pytest.approx(law.pdf(x), rel=1e-4, abs=1e-6)
-
-
-def test_density_estimate_validation():
-    g = np.linspace(-1, 1, 11)
-    flat = np.full(11, 0.5)
-    est = DensityEstimate(grid=g, values=flat, n_samples=10)
-    assert est(0.05) == pytest.approx(0.5)
-    with pytest.raises(GridCoverageError):
-        est(1.5)
-    with pytest.raises(ValueError):
-        DensityEstimate(grid=g, values=2 * flat, n_samples=10)  # mass 2
-    with pytest.raises(ValueError):
-        DensityEstimate(grid=g[::-1], values=flat, n_samples=10)
-    with pytest.raises(ValueError):
-        DensityEstimate(grid=g, values=-flat, n_samples=10)
-    with pytest.raises(ValueError):
-        DensityEstimate(grid=g, values=flat, n_samples=0)
 
 
 # ------------------------------------------------------------------ sampling
@@ -161,37 +149,60 @@ def test_bl_respects_resolution_argument():
 
 # -------------------------------------------------------------- level density
 
-def test_rho_estimate_mass_and_peak():
-    est = rho_n_estimate(20, n_samples=4000, seed=9)
-    mass = np.trapezoid(est.values, est.grid)
-    assert 0.99 <= mass <= 1.01
-    # density at 0 approaches the semicircle value sqrt(2)/pi with 1/n corrections
-    assert est(0.0) == pytest.approx(np.sqrt(2.0) / np.pi, rel=0.08)
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 10, 21])
+def test_goe_density_matches_high_precision_formula(n):
+    # bulk, edge and tail; the oracle integrates the Hermite functions at 50 digits
+    x = np.array([0.0, 0.9, math.sqrt(2.0), 1.6, 2.2, 3.5])
+    want = np.array([goe_density_formula(n, v) for v in x])
+    np.testing.assert_allclose(np.exp(goe_log_density(n, x) - want), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(goe_log_density(n, -x), goe_log_density(n, x))
 
 
-def test_rho_estimate_matches_exact_two_point_density():
-    # rho_2(0) = 1/sqrt(2 pi): from E|N(0,1)| = sqrt(2/pi) and the identity
-    est = rho_n_estimate(2, n_samples=60000, seed=10, support=(-4.0, 4.0))
-    assert est(0.0) == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), rel=0.05)
+@pytest.mark.parametrize("n", [5, 6, 21, 100, 101, 600, 601])
+def test_goe_density_mass_and_peak(n):
+    grid = np.linspace(-5.0, 5.0, 20001)
+    assert abs(np.trapezoid(np.exp(goe_log_density(n, grid)), grid) - 1.0) <= 1e-12
+    # the density at 0 approaches the semicircle value sqrt(2)/pi with 1/n corrections
+    assert math.exp(goe_log_density(n, 0.0)) == pytest.approx(math.sqrt(2.0) / math.pi, rel=1.0 / n)
 
 
-@pytest.mark.parametrize("method", ["dense", "tridiagonal"])
-def test_rho_estimate_pools_the_per_draw_histograms(method):
-    n, n_samples, seed = 12, 300, 4
-    est = rho_n_estimate(n, n_samples, seed, method=method)
-    rng = np.random.default_rng(seed)
-    edges = np.arange(-3.0, 3.0 + 0.01, 0.02)
-    counts = np.zeros(edges.size - 1)
-    for _ in range(n_samples):
-        counts += np.histogram(goe_eigenvalues(n, rng, method=method), bins=edges)[0]
-    np.testing.assert_array_equal(est.values, counts / (n * n_samples * 0.02))
+def test_goe_density_matches_two_point_closed_form():
+    # sqrt(2) GOE_2 has eigenvalue density prop. to |a - b| e^{-(a^2 + b^2)/2}; integrating
+    # out b gives rho(a) = e^{-a^2/2} (a erf(a/sqrt(2)) + sqrt(2/pi) e^{-a^2/2}) / (2 sqrt(2)),
+    # and rho_2(x) = sqrt(2) rho(sqrt(2) x)
+    from scipy.special import erf
+
+    x = np.linspace(-6.0, 6.0, 241)
+    a = math.sqrt(2.0) * np.abs(x)
+    rho = np.exp(-a * a / 2) * (a * erf(a / math.sqrt(2.0)) + math.sqrt(2.0 / math.pi) * np.exp(-a * a / 2))
+    np.testing.assert_allclose(goe_log_density(2, x), np.log(rho / 2.0), rtol=0, atol=1e-13)
+    assert goe_log_density(2, 0.0) == pytest.approx(-0.5 * math.log(2.0 * math.pi), abs=1e-15)
 
 
-def test_rho_estimate_validation():
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
+def test_goe_density_fits_sampled_eigenvalues(n):
+    # KS test at alpha = 0.01 of one uniformly chosen eigenvalue per dense GOE_n draw
+    # (independent across draws, each distributed as rho_n); seeds fixed in advance
+    from scipy.stats import kstest
+
+    rng = np.random.default_rng(9100 + n)
+    picks = np.array([goe_eigenvalues(n, rng, method="dense")[rng.integers(n)] for _ in range(20000)])
+    grid = np.linspace(-8.0, 8.0, 32001)
+    dens = np.exp(goe_log_density(n, grid))
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
+    assert abs(cdf[-1] - 1.0) < 1e-9
+    assert kstest(picks, lambda v: np.interp(v, grid, cdf)).pvalue > 0.01
+
+
+def test_goe_log_density_shapes_and_validation():
+    assert isinstance(goe_log_density(4, 0.5), float)
+    assert goe_log_density(4, np.zeros((2, 3))).shape == (2, 3)
+    # n = 1 is the standard normal
+    assert goe_log_density(1, 1.5) == pytest.approx(-0.5 * 1.5 ** 2 - 0.5 * math.log(2.0 * math.pi), abs=1e-14)
+    # far tails stay finite: the per-x log scale carries e^{-n x^2 / 2}
+    assert np.all(np.isfinite(goe_log_density(2000, np.array([0.0, 1.5, 10.0, 40.0]))))
     with pytest.raises(ValueError):
-        rho_n_estimate(10, n_samples=0, seed=1)
-    with pytest.raises(ValueError):
-        rho_n_estimate(10, n_samples=10, seed=1, support=(2.0, -2.0))
+        goe_log_density(0, 0.0)
 
 
 # ------------------------------------------ pivot-recurrence determinants
@@ -289,37 +300,21 @@ def test_abs_det_mc_jackknife_se_is_calibrated():
 
 
 def test_abs_det_formula_inverts_identity():
-    # feed the formula a density tabulated from the exact tail oracle: the
-    # result must reproduce the mean characteristic polynomial at the query
-    n = 20
-    # fine grid: the tail is exponentially steep, so linear interpolation on a
-    # coarse grid would bias the log by ((n+1) Phi' h)^2 / 8
-    grid = np.linspace(-3.2, 3.2, 3201)
-    sc = SemicircleLaw()
-    vals = sc.pdf(grid)  # bulk stand-in; only the tail matters for the query
-    tail = np.abs(grid) >= 1.6
-    vals[tail] = [goe_density_tail(n + 1, g) for g in grid[tail]]
-    est = DensityEstimate(grid=grid, values=vals, n_samples=1)
-    out = expected_abs_det_shifted_formula(n, 3.0, est)
-    oracle, _ = log_mean_char_poly(n, 3.0)
-    assert out == pytest.approx(oracle, abs=0.02)
+    # outside the bulk E|det(GOE_n + x I)| is the mean characteristic polynomial
+    # up to a relative error exp(-n I(x)), far below the tolerance at these shifts
+    for n, x in ((20, 3.0), (20, -3.0), (50, 2.0), (7, 4.0)):
+        oracle, _ = log_mean_char_poly(n, abs(x))
+        assert expected_abs_det_shifted_formula(n, x) == pytest.approx(oracle, abs=1e-10)
 
 
-def test_abs_det_formula_out_of_range_raises():
-    est = rho_n_estimate(8, n_samples=200, seed=3)
-    with pytest.raises(GridCoverageError):
-        expected_abs_det_shifted_formula(7, 4.0, est)
-    with pytest.raises(GridCoverageError):
-        # in range but empty histogram tail
-        expected_abs_det_shifted_formula(7, 2.9, est)
-
-
-def test_density_tail_oracle_overlaps_histogram():
-    # cross-check the analytic tail against a big histogram where both resolve
-    n = 61
-    est = rho_n_estimate(n, n_samples=30000, seed=17, method="tridiagonal")
-    for x in (1.48, 1.52):
-        assert est(x) == pytest.approx(goe_density_tail(n, x), rel=0.2)
+def test_density_tail_oracle_matches_exact_density():
+    # the oracle inverts the identity with E det in place of E|det|; its stated
+    # relative error is of order exp(-(n-1) I(x)) with I = -phi, above a rounding floor
+    for n in (11, 21, 41):
+        for x in (1.6, 1.8, 2.2, 2.8, -2.4):
+            got = math.exp(goe_log_density(n, x))
+            bound = math.exp((n - 1) * phi(x)) + 1e-12
+            assert abs(goe_density_tail(n, x) / got - 1.0) <= bound, (n, x)
 
 
 def test_prefactor_value_small_n():
