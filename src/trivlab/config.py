@@ -7,6 +7,7 @@ returns a structurally equal config.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -92,10 +93,15 @@ def _reject_unknown(data: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _is_finite_number(val) -> bool:
+    # YAML's .nan and .inf parse to floats; no setting takes them
+    return not isinstance(val, bool) and isinstance(val, (int, float)) and math.isfinite(val)
+
+
 def _as_float(data: dict, key: str, default, where: str) -> float:
     val = data.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number")
+    if not _is_finite_number(val):
+        raise ConfigError(f"{where}.{key} must be a finite number")
     return float(val)
 
 
@@ -121,8 +127,8 @@ def _parse_model(data) -> ModelConfig:
             raise ConfigError(f"model.atoms[{i}] must be a [weight, scale] pair")
         w, t = pair
         for name, v in (("weight", w), ("scale", t)):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"model.atoms[{i}] {name} must be a number")
+            if not _is_finite_number(v):
+                raise ConfigError(f"model.atoms[{i}] {name} must be a finite number")
         if w <= 0.0 or t <= 0.0:
             raise ConfigError(f"model.atoms[{i}] must have positive weight and scale")
         atoms.append((float(w), float(t)))
@@ -148,8 +154,8 @@ def _parse_tolerances(data) -> ToleranceConfig:
     _reject_unknown(data, ("grad_tol", "dedupe_tol", "bl_resolution"), "tolerances")
     res = data.get("bl_resolution", None)
     if res is not None:
-        if isinstance(res, bool) or not isinstance(res, (int, float)) or res <= 0.0:
-            raise ConfigError("tolerances.bl_resolution must be a positive number or null")
+        if not _is_finite_number(res) or res <= 0.0:
+            raise ConfigError("tolerances.bl_resolution must be a positive finite number or null")
         res = float(res)
     cfg = ToleranceConfig(
         grad_tol=_as_float(data, "grad_tol", 1e-10, "tolerances"),

@@ -14,11 +14,13 @@ drawn there directly since its law is isotropic, one dense eigensolve of
 the resulting arrowhead), evaluates its determinant through the Schur
 complement, reduces the edge question to a tridiagonal model W, and runs
 the edge and second-moment experiments used to check the trivialization
-picture.  The edge experiment takes the same draws as :func:`sample_g` but
-no arrowhead eigensolve: whether lambda_min(G) <= t follows from the bulk
-eigenvalues (interlacing) and the sign of the Schur complement of G - t I
-(Sylvester inertia).  Second-moment log-determinants come from the pivot
-recurrence of :func:`trivlab.rmt.goe_log_abs_dets`.
+picture.  At the pinned shift, Householder tridiagonalization of the bulk
+(Dumitriu-Edelman, corner kept) gives lambda_min(G) = -sqrt(-2 D''(0)/N)
+lambda_max(W) - sqrt(-4 D''(0)) y in law, so the edge experiment draws W
+and decides lambda_min(G) <= t by one Sturm count of w_t I - W (the
+negative LDL^T pivots of :func:`trivlab.rmt.tridiagonal_negative_pivots`),
+O(N) per draw and no eigensolve.  Second-moment log-determinants come from
+the same pivot recurrence through :func:`trivlab.rmt.goe_log_abs_dets`.
 
 Two sampling modes: with ``y=None`` the shift z3' fluctuates jointly with
 the corner (the unconditional model, used for conditional-law checks);
@@ -40,7 +42,7 @@ import numpy as np
 
 from .complexity import predictions, psi_lrc_maximizer
 from .errors import DegenerateConditioningError
-from .rmt import goe_eigenvalues, goe_log_abs_dets
+from .rmt import LOGDET_BLOCK_ENTRIES, goe_eigenvalues, goe_log_abs_dets, tridiagonal_negative_pivots
 from .structure_functions import LrcStructure, alpha_beta, conditioning_variance, eval_lrc
 
 # fewest draws edge_tail accepts
@@ -206,41 +208,6 @@ def sample_corner_pairs(model, mu, rho, u, n: int, n_draws: int, seed: int):
     return _corner_core(c, -4.0 * d2_0, ab, float(rho), n, z)
 
 
-def _bordered_sampler(model, mu, rho, u, n: int, y: float | None):
-    """Validate once and return draw(seed) -> (z1', z3', xi, GOE_{n-1} eigenvalues, g*).
-
-    The one place the bordered-Hessian stream is written: the corner
-    normals, the border, then a tridiagonal GOE_{n-1}.
-    """
-    if n < BORDERED_MIN_N:
-        raise ValueError(f"n must be at least {BORDERED_MIN_N}")
-    c = constants(model, mu, rho, u)
-    d2_0 = eval_lrc(model, 0.0, 2)
-    a2 = -4.0 * d2_0
-    ab = c.alpha * c.beta
-    if ab < 0.0:
-        raise DegenerateConditioningError("alpha*beta is negative; the shift coupling is undefined")
-    cc = None if y is None else corner_conditional(model, mu, rho, u, y)
-    xi_scale = math.sqrt(-2.0 * d2_0 / n)
-    bulk_scale = math.sqrt((n - 1) / n)
-
-    def draw(seed):
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((1, 3))
-        if cc is None:
-            z1p_arr, z3p_arr = _corner_core(c, a2, ab, float(rho), n, z)
-            z1p, z3p = float(z1p_arr[0]), float(z3p_arr[0])
-        else:
-            z1p = cc.a_bar + math.sqrt(cc.b_sq / n) * float(z[0, 0])
-            z3p = float(y)
-        xi = rng.standard_normal(n - 1) * xi_scale
-        goe_vals = goe_eigenvalues(n - 1, rng, method="tridiagonal")
-        g_star = math.sqrt(a2) * (bulk_scale * goe_vals - z3p)
-        return z1p, z3p, xi, goe_vals, g_star
-
-    return draw
-
-
 def sample_g(model, mu, rho, u, n: int, seed: int,
              y: float | None = None) -> BorderedHessianSample:
     """Draw the bordered conditional Hessian and assemble its spectrum.
@@ -252,7 +219,26 @@ def sample_g(model, mu, rho, u, n: int, seed: int,
     spectrum is one dense eigensolve of the n x n arrowhead.
     """
     n = int(n)
-    z1p, z3p, xi, goe_vals, g_star = _bordered_sampler(model, mu, rho, u, n, y)(seed)
+    if n < BORDERED_MIN_N:
+        raise ValueError(f"n must be at least {BORDERED_MIN_N}")
+    c = constants(model, mu, rho, u)
+    d2_0 = eval_lrc(model, 0.0, 2)
+    a2 = -4.0 * d2_0
+    ab = c.alpha * c.beta
+    if ab < 0.0:
+        raise DegenerateConditioningError("alpha*beta is negative; the shift coupling is undefined")
+    cc = None if y is None else corner_conditional(model, mu, rho, u, y)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((1, 3))
+    if cc is None:
+        z1p_arr, z3p_arr = _corner_core(c, a2, ab, float(rho), n, z)
+        z1p, z3p = float(z1p_arr[0]), float(z3p_arr[0])
+    else:
+        z1p = cc.a_bar + math.sqrt(cc.b_sq / n) * float(z[0, 0])
+        z3p = float(y)
+    xi = rng.standard_normal(n - 1) * math.sqrt(-2.0 * d2_0 / n)
+    goe_vals = goe_eigenvalues(n - 1, rng, method="tridiagonal")
+    g_star = math.sqrt(a2) * (math.sqrt((n - 1) / n) * goe_vals - z3p)
     arrow = np.diag(np.concatenate(([z1p], g_star)))
     arrow[0, 1:] = xi
     arrow[1:, 0] = xi
@@ -299,63 +285,96 @@ def schur_det(sample: BorderedHessianSample) -> tuple[float, int]:
     return log_abs, sign
 
 
+def _w_sampler(model, mu, rho, u, y, n: int):
+    """Validate once and return draw(seed) -> (diag, off) of the tridiagonal edge model W.
+
+    The one place the W stream is written: the corner z~1 from the
+    conditional corner law, sqrt(2) N(0, 1) on the rest of the diagonal,
+    then chi_{n-1}, ..., chi_1 off the diagonal.
+    """
+    if n < BORDERED_MIN_N:
+        raise ValueError(f"n must be at least {BORDERED_MIN_N}")
+    c = constants(model, mu, rho, u)
+    if c.alpha * c.beta < 0.0:
+        raise DegenerateConditioningError("alpha*beta is negative; the shift coupling is undefined")
+    cc = corner_conditional(model, mu, rho, u, y)
+    s_half = math.sqrt(-2.0 * eval_lrc(model, 0.0, 2))
+    corner_shift = math.sqrt(2.0) * float(y)
+    dofs = np.arange(n - 1, 0, -1)
+
+    def draw(seed):
+        rng = np.random.default_rng(seed)
+        z_tilde = (cc.a_bar + math.sqrt(cc.b_sq / n) * rng.standard_normal()) / s_half
+        diag = np.empty(n)
+        diag[0] = -math.sqrt(n) * (z_tilde + corner_shift)
+        diag[1:] = math.sqrt(2.0) * rng.standard_normal(n - 1)
+        return diag, np.sqrt(rng.chisquare(dofs))
+
+    return draw
+
+
+def _w_threshold(model, y, n: int, t: float) -> float:
+    """w_t with lambda_min(G) <= t exactly when lambda_max(W) >= w_t.
+
+    From lambda_min(G) = -sqrt(-2 D''(0)/n) lambda_max(W) - sqrt(-4 D''(0)) y.
+    """
+    d2_0 = eval_lrc(model, 0.0, 2)
+    return -(float(t) + math.sqrt(-4.0 * d2_0) * float(y)) / math.sqrt(-2.0 * d2_0 / n)
+
+
 def tridiag_w_lambda_max(model, mu, rho, u, y, n: int, seed: int) -> float:
     """Largest eigenvalue of the tridiagonal edge model W.
 
     W has corner -sqrt(n) (z~1 + sqrt(2) y) with sqrt(-2 D''(0)) z~1 drawn
     from the conditional corner law, Gaussian sqrt(2) diagonal elsewhere,
     and chi_{n-1}, ..., chi_1 off-diagonals; -sqrt(-2 D''(0)/n) lambda_max(W)
-    - sqrt(-4 D''(0)) y reproduces lambda_min(G) in law.
+    - sqrt(-4 D''(0)) y reproduces lambda_min(G) in law (Dumitriu-Edelman
+    reduction of the bordered Hessian, corner kept).  One eigensolve per
+    call; :func:`edge_tail` decides the same draws by a Sturm count instead.
     """
     from scipy.linalg import eigvalsh_tridiagonal
 
-    n = int(n)
-    if n < BORDERED_MIN_N:
-        raise ValueError(f"n must be at least {BORDERED_MIN_N}")
-    cc = corner_conditional(model, mu, rho, u, y)
-    d2_0 = eval_lrc(model, 0.0, 2)
-    s_half = math.sqrt(-2.0 * d2_0)
-    rng = np.random.default_rng(seed)
-    z_tilde = (cc.a_bar + math.sqrt(cc.b_sq / n) * rng.standard_normal()) / s_half
-    diag = np.empty(n)
-    diag[0] = -math.sqrt(n) * (z_tilde + math.sqrt(2.0) * float(y))
-    diag[1:] = math.sqrt(2.0) * rng.standard_normal(n - 1)
-    off = np.sqrt(rng.chisquare(np.arange(n - 1, 0, -1)))
+    diag, off = _w_sampler(model, mu, rho, u, y, int(n))(seed)
     return float(eigvalsh_tridiagonal(diag, off)[-1])
 
 
 def _edge_exceedances(model, mu, n: int, trials: int, epsilon: float, seed: int) -> np.ndarray:
-    """Per-draw lambda_min(G) <= edge - epsilon for edge_tail's draws, without eigensolving G.
+    """Per-draw lambda_min(G) <= edge - epsilon for edge_tail's draws, without eigensolving.
 
-    Draw t is sample_g's draw at the rate-function maximizer with seed
-    child t of ``seed``.  By interlacing lambda_min(G) <= min g* holds, and
-    when min g* > t the bulk block of G - t I is positive definite, so by
-    Sylvester's inertia G - t I fails to be positive definite exactly when
-    its Schur complement z1' - t - sum xi_k^2 / (g*_k - t) is <= 0.
+    Draw i is the W of :func:`tridiag_w_lambda_max` at the rate-function
+    maximizer with seed child i of ``seed``.  With t = edge - epsilon,
+    lambda_min(G) <= t exactly when lambda_max(W) >= w_t
+    (:func:`_w_threshold`), that is when w_t I - W has a negative LDL^T pivot;
+    the pivots come from one sweep over a block of draws
+    (:func:`trivlab.rmt.tridiagonal_negative_pivots`).
     """
     if trials < EDGE_MIN_TRIALS:
         raise ValueError(f"trials must be at least {EDGE_MIN_TRIALS}")
+    n = int(n)
     point, _ = psi_lrc_maximizer(model, mu)
-    report = predictions(model, mu)
-    threshold = report.lambda_edge - float(epsilon)
-    draw = _bordered_sampler(model, mu, point.rho, point.u, int(n), point.y)
+    draw = _w_sampler(model, mu, point.rho, point.u, point.y, n)
+    w_t = _w_threshold(model, point.y, n, predictions(model, mu).lambda_edge - float(epsilon))
     child = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
     hits = np.empty(trials, dtype=bool)
-    for t in range(trials):
-        z1p, _z3p, xi, _goe, g_star = draw(int(child[t]))
-        gap = g_star - threshold
-        hits[t] = gap.min() <= 0.0 or z1p - threshold - float(np.sum(xi * xi / gap)) <= 0.0
+    block = max(1, LOGDET_BLOCK_ENTRIES // n)
+    for start in range(0, trials, block):
+        size = min(block, trials - start)
+        diag = np.empty((size, n))
+        off = np.empty((size, n - 1))
+        for j in range(size):
+            diag[j], off[j] = draw(int(child[start + j]))
+        hits[start:start + size] = tridiagonal_negative_pivots(-diag, off, w_t) > 0
     return hits
 
 
 def edge_tail(model, mu, n: int, trials: int, epsilon: float, seed: int) -> float:
     """Fraction of pinned-model draws with lambda_min below the predicted edge minus epsilon.
 
-    Samples G at the rate-function maximizer (rho*, u*, y*) and counts
-    lambda_min(G) <= (c_l - r_l) - epsilon.  epsilon may be negative for
-    sanity inversions (threshold above the bulk).  The draws are
-    :func:`sample_g`'s; each is decided by interlacing and the sign of a
-    Schur complement instead of an n x n eigensolve.
+    Samples the model at the rate-function maximizer (rho*, u*, y*) and
+    counts lambda_min(G) <= (c_l - r_l) - epsilon.  epsilon may be negative
+    for sanity inversions (threshold above the bulk).  Each draw is the
+    tridiagonal edge model W of :func:`tridiag_w_lambda_max`, decided by
+    one O(n) Sturm count instead of an eigensolve.
     """
     return int(np.count_nonzero(_edge_exceedances(model, mu, n, trials, epsilon, seed))) / trials
 

@@ -10,7 +10,10 @@ Monte Carlo determinants take no eigensolve: a tridiagonal draw's
 log|det(T + x I)| is the sum of its LDL^T pivots' log magnitudes
 (:func:`tridiagonal_log_abs_det`, vectorized over a block of draws), and a
 dense draw's is one LU ``slogdet``.  :func:`goe_log_abs_dets` draws the
-samples one at a time in the same stream as :func:`goe_eigenvalues`.
+samples one at a time in the same stream as :func:`goe_eigenvalues`.  The
+same pivot sweep also gives the inertia of T + x I
+(:func:`tridiagonal_negative_pivots`): the number of eigenvalues of T
+below -x, a Sturm count that decides an eigenvalue question in O(n).
 
 The mean level density is exact at every n (:func:`goe_log_density`), and
 the shifted-determinant identity evaluates against it.
@@ -121,16 +124,15 @@ def goe_eigenvalues(n: int, rng: np.random.Generator, method: str = "auto") -> n
     return eigvalsh_tridiagonal(diag, off)
 
 
-def tridiagonal_log_abs_det(diag, off, x=0.0) -> np.ndarray:
-    """log|det(T + x I)| for a stack of symmetric tridiagonal matrices T.
+def _ldl_pivots(diag, off, x) -> np.ndarray:
+    """LDL^T pivots of T + x I for a stack of symmetric tridiagonal matrices T.
 
     ``diag`` is (S, n), ``off`` (S, n - 1) and ``x`` a scalar or (S,) shift.
-    The LDL^T pivots r_0 = d_0 + x, r_k = (d_k + x) - e_{k-1}^2 / r_{k-1}
-    multiply to the determinant, so one sweep over k, vectorized over the
-    samples, replaces an eigensolve per sample.  A pivot smaller in
-    magnitude than pivmin = tiny * max(1, max_k e_k^2) is replaced by
-    -pivmin, as LAPACK ``dstebz`` does, so a singular leading minor gives
-    a finite result.
+    The pivots r_0 = d_0 + x, r_k = (d_k + x) - e_{k-1}^2 / r_{k-1} come
+    from one sweep over k, vectorized over the samples, and are returned as
+    an (n, S) array.  A pivot smaller in magnitude than
+    pivmin = tiny * max(1, max_k e_k^2) is replaced by -pivmin, as LAPACK
+    ``dstebz`` does, so a singular leading minor gives finite pivots.
     """
     a = np.ascontiguousarray(np.atleast_2d(diag).T) + np.asarray(x, dtype=float)
     e2 = np.ascontiguousarray(np.atleast_2d(off).T) ** 2
@@ -146,7 +148,28 @@ def tridiagonal_log_abs_det(diag, off, x=0.0) -> np.ndarray:
             r -= e2[k - 1] / pivots[k - 1]
         np.less(np.abs(r), pivmin, out=small)
         np.copyto(r, neg_pivmin, where=small)
-    return np.ascontiguousarray(np.log(np.abs(pivots)).T).sum(axis=1)
+    return pivots
+
+
+def tridiagonal_log_abs_det(diag, off, x=0.0) -> np.ndarray:
+    """log|det(T + x I)| for a stack of symmetric tridiagonal matrices T.
+
+    The LDL^T pivots of :func:`_ldl_pivots` multiply to the determinant, so
+    one sweep over the stack replaces an eigensolve per sample.
+    """
+    return np.ascontiguousarray(np.log(np.abs(_ldl_pivots(diag, off, x))).T).sum(axis=1)
+
+
+def tridiagonal_negative_pivots(diag, off, x=0.0) -> np.ndarray:
+    """Number of eigenvalues of T + x I below zero, for a stack of tridiagonal T.
+
+    By Sylvester's law of inertia this is the number of negative LDL^T
+    pivots of :func:`_ldl_pivots` (a Sturm count, as in LAPACK ``dstebz``):
+    an (S,) integer array from the same sweep as
+    :func:`tridiagonal_log_abs_det`, with no eigensolve.  A pivot replaced
+    by -pivmin counts as negative, so a pivot that vanishes exactly is counted.
+    """
+    return np.count_nonzero(_ldl_pivots(diag, off, x) < 0.0, axis=0)
 
 
 def goe_log_abs_dets(n: int, n_samples: int, rng: np.random.Generator,

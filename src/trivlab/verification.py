@@ -253,8 +253,9 @@ def _check_minimize_prediction(cfg: RunConfig, fast: bool) -> CheckResult:
 
 
 def _check_lrc_edge_tail(cfg: RunConfig, fast: bool) -> CheckResult:
-    # at N=100 about one draw in a thousand still dips 0.2 below the edge, so
-    # "no exceedance" is asked where it holds: N=400, the scale of acceptance test 5
+    # P(lambda_min <= edge - 0.2) per draw is 1.2e-3 at N=100 but below 3.7e-5
+    # (0 of 10^5, 95% bound) at N=400, the scale of acceptance test 5, so 200
+    # draws there trip on at most 0.7% of seeds
     n, trials = 400, 200
     frac = edge_tail(LrcStructure(), 2.0, n, trials=trials, epsilon=0.2, seed=cfg.seed + 26)
     return _result("lrc_edge_no_exceedance", frac == 0.0,

@@ -234,8 +234,8 @@ def dense_bordered_eigenvalues(z1p, z3p, n, d2_0, rng):
 
 
 # The eigensolve loops below are the Monte Carlo estimators as they were
-# before log-determinants came from pivots and the edge from Schur inertia:
-# the same draws in the same order, reduced by one full spectrum per draw.
+# before log-determinants came from pivots: the same draws in the same order,
+# reduced by one full spectrum per draw.
 
 def eig_log_abs_dets(n, n_samples, rng, shift, goe_eigenvalues, method="auto"):
     """log|det(M_i + x_i I)| as sum log|lambda_k(M_i) + x_i|, one eigensolve per draw.
@@ -267,7 +267,30 @@ def eig_expected_crt_mc(a, mu, n, n_samples, seed, goe_eigenvalues, jackknife_se
 
 
 def eig_edge_lambda_mins(sample_g, model, mu, point, n, trials, seed):
-    """lambda_min of each of ``edge_tail``'s draws, by eigensolving the full bordered Hessian."""
+    """lambda_min of ``sample_g``'s pinned draws at ``edge_tail``'s child seeds, by eigensolving
+    the full bordered Hessian: the edge route before it moved to Sturm counts on W."""
     child = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
     return np.array([sample_g(model, mu, point.rho, point.u, n, int(c), y=point.y).lambda_min
                      for c in child])
+
+
+def reference_tridiagonal_log_abs_det(diag, off, x=0.0):
+    """log|det(T + x I)| by the LDL^T sweep exactly as ``count`` computed it
+    before the pivots were shared with the Sturm count: a frozen copy, so
+    the package's log-determinants can be held to the same bits.
+    """
+    a = np.ascontiguousarray(np.atleast_2d(diag).T) + np.asarray(x, dtype=float)
+    e2 = np.ascontiguousarray(np.atleast_2d(off).T) ** 2
+    n, s = a.shape
+    tiny = np.finfo(float).tiny
+    pivmin = tiny * np.maximum(1.0, e2.max(axis=0)) if n > 1 else np.full(s, tiny)
+    neg_pivmin = -pivmin
+    pivots = a
+    small = np.empty(s, dtype=bool)
+    for k in range(n):
+        r = pivots[k]
+        if k:
+            r -= e2[k - 1] / pivots[k - 1]
+        np.less(np.abs(r), pivmin, out=small)
+        np.copyto(r, neg_pivmin, where=small)
+    return np.ascontiguousarray(np.log(np.abs(pivots)).T).sum(axis=1)

@@ -115,6 +115,19 @@ class TestPredict:
         assert res.exit_code == 2
         assert "atoms" in res.output
 
+    @pytest.mark.parametrize("command,template,key,line", [
+        ("predict", SRC_YAML, "mu: 3.0", "mu: .nan"),
+        ("lrc-edge", LRC_YAML, "mu: 2.0", "mu: .nan"),
+        ("lrc-edge", LRC_YAML, "epsilon: 0.2", "epsilon: .nan"),
+        ("simulate", SRC_YAML, "seed: 5", "seed: 5\ntolerances:\n  bl_resolution: .inf"),
+    ], ids=["predict-mu", "lrc-edge-mu", "lrc-edge-epsilon", "simulate-bl_resolution"])
+    def test_non_finite_value_exit_2(self, runner, tmp_path, command, template, key, line):
+        cfg_path, out = write_cfg(tmp_path, template.replace(key, line))
+        res = runner.invoke(main, [command, "--config", cfg_path])
+        assert res.exit_code == 2, res.output
+        assert "finite" in res.output
+        assert not out.exists()
+
     def test_missing_config_exit_2(self, runner, tmp_path):
         res = runner.invoke(main, ["predict", "--config", str(tmp_path / "none.yaml")])
         assert res.exit_code == 2
@@ -345,6 +358,12 @@ class TestImports:
         cfg_path, out = write_cfg(tmp_path, template)
         assert _modules_after(["predict", "--config", cfg_path]) == set()
         assert (out / "t_predict.json").exists()
+
+    def test_lrc_edge_loads_no_scipy(self, tmp_path):
+        # the edge draws are decided by Sturm counts, not eigensolves
+        cfg_path, out = write_cfg(tmp_path, LRC_YAML)
+        assert _modules_after(["lrc-edge", "--config", cfg_path]) == set()
+        assert (out / "t_edge.csv").exists()
 
     def test_count_loads_scipy_where_it_is_called(self, tmp_path):
         cfg_path, _ = write_cfg(tmp_path, SRC_YAML)

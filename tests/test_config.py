@@ -106,6 +106,23 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(snippet)
 
+    @pytest.mark.parametrize("snippet", [
+        "mu: .nan",
+        "mu: .inf",
+        "epsilon: .nan",
+        "epsilon: -.inf",
+        "model:\n  kind: lrc\n  a: .inf",
+        "model:\n  kind: src\n  atoms: [[.nan, 1.0]]",
+        "model:\n  kind: src\n  atoms: [[1.0, .inf]]",
+        "tolerances:\n  grad_tol: .nan",
+        "tolerances:\n  dedupe_tol: .inf",
+        "tolerances:\n  bl_resolution: .nan",
+        "tolerances:\n  bl_resolution: .inf",
+    ])
+    def test_non_finite_values_rejected(self, snippet):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(snippet)
+
     def test_zero_features_need_a_featureless_model(self):
         cfg = parse_config("model:\n  kind: src\n  atoms: []\nk: 0")
         assert cfg.k == 0 and cfg.model.atoms == ()

@@ -353,19 +353,70 @@ class TestEdge:
         with pytest.raises(DegenerateConditioningError):
             sample_g(DEFAULT, MU, RHO_STAR, U_STAR, 100, seed=0, y=Y_STAR)
 
-    def test_decisions_match_full_eigensolve(self):
-        # the Schur-inertia decision against lambda_min of sample_g on the
-        # same 2000 draws, for thresholds below, at and above the edge
-        n, trials, seed = 100, 2000, 77
+    @pytest.mark.parametrize("n, trials", [(3, 200), (4, 200), (100, 200), (600, 50)])
+    def test_decisions_match_w_eigensolve(self, n, trials, monkeypatch):
+        # the Sturm-count decision against the largest eigenvalue of the same
+        # W draws (tridiag_w_lambda_max, one eigensolve per draw), swept in
+        # blocks of 7 draws with a partial last block
+        monkeypatch.setattr(lrc_hessian, "LOGDET_BLOCK_ENTRIES", 7 * n)
+        seed = 60 + n
         point, _ = psi_lrc_maximizer(DEFAULT, MU)
-        lam = eig_edge_lambda_mins(sample_g, DEFAULT, MU, point, n, trials, seed)
+        child = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
+        wmax = np.array([tridiag_w_lambda_max(DEFAULT, MU, point.rho, point.u, point.y, n, seed=int(c))
+                         for c in child])
+        d2_0 = eval_lrc(DEFAULT, 0.0, 2)
         fractions = []
         for eps in (0.2, 0.05, 0.0, -0.05):
+            t = predictions(DEFAULT, MU).lambda_edge - eps
+            w_t = -(t + math.sqrt(-4.0 * d2_0) * point.y) / math.sqrt(-2.0 * d2_0 / n)
             hits = _edge_exceedances(DEFAULT, MU, n, trials, eps, seed)
-            np.testing.assert_array_equal(hits, lam <= predictions(DEFAULT, MU).lambda_edge - eps)
+            np.testing.assert_array_equal(hits, wmax >= w_t)
             fractions.append(hits.mean())
-        assert fractions == sorted(fractions) and 0.0 < fractions[0] and fractions[-1] < 1.0
+        assert fractions == sorted(fractions)
         assert edge_tail(DEFAULT, MU, n, trials, 0.05, seed) == fractions[1]
+
+    def test_decisions_are_not_trivial(self):
+        # thresholds below, at and above the edge split the draws at N = 100
+        fractions = [edge_tail(DEFAULT, MU, 100, 2000, eps, seed=77) for eps in (0.2, 0.05, 0.0, -0.05)]
+        assert fractions == sorted(fractions) and 0.0 < fractions[0] and fractions[-1] < 1.0
+
+    def test_zero_pivot_counts_as_exceedance(self, monkeypatch):
+        # give every draw the eigenvalue w_t exactly (a decoupled last entry):
+        # the last pivot of w_t I - W is then exactly 0, is replaced by -pivmin
+        # and counted, as lambda_max(W) >= w_t asks
+        n, trials, eps, seed = 100, 60, 0.2, 11
+        real = lrc_hessian._w_sampler
+
+        def with_eigenvalue_at_threshold(model, mu, rho, u, y, n):
+            draw = real(model, mu, rho, u, y, n)
+            w_t = lrc_hessian._w_threshold(model, y, n, predictions(model, mu).lambda_edge - eps)
+
+            def decoupled(seed):
+                diag, off = draw(seed)
+                diag[-1], off[-1] = w_t, 0.0
+                return diag, off
+
+            return decoupled
+
+        assert not _edge_exceedances(DEFAULT, MU, n, trials, eps, seed).any()
+        monkeypatch.setattr(lrc_hessian, "_w_sampler", with_eigenvalue_at_threshold)
+        assert _edge_exceedances(DEFAULT, MU, n, trials, eps, seed).all()
+
+    def test_same_law_as_full_eigensolve(self):
+        # equality in law against the old route: lambda_min of sample_g's
+        # bordered Hessian, one eigensolve per draw, on independent seeds.
+        # Two-proportion z-test per threshold at alpha = 0.001 (|z| <= 3.29),
+        # so the three together false-alarm at most 0.3% of the time.
+        n, trials = 100, 2000
+        point, _ = psi_lrc_maximizer(DEFAULT, MU)
+        lam = eig_edge_lambda_mins(sample_g, DEFAULT, MU, point, n, trials, seed=77)
+        edge = predictions(DEFAULT, MU).lambda_edge
+        for eps in (0.05, 0.0, -0.05):
+            p_eig = float(np.mean(lam <= edge - eps))
+            p_w = edge_tail(DEFAULT, MU, n, trials, eps, seed=1077)
+            pooled = 0.5 * (p_eig + p_w)
+            z = (p_w - p_eig) / math.sqrt(pooled * (1.0 - pooled) * 2.0 / trials)
+            assert 0.0 < pooled < 1.0 and abs(z) <= 3.29, (eps, p_eig, p_w, z)
 
 
 class TestTridiagW:

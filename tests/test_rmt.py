@@ -20,6 +20,7 @@ from trivlab.rmt import (
     jackknife_se_of_log_mean,
     sample_goe,
     tridiagonal_log_abs_det,
+    tridiagonal_negative_pivots,
 )
 
 from oracles import (
@@ -28,6 +29,7 @@ from oracles import (
     goe_density_formula,
     goe_density_tail,
     log_mean_char_poly,
+    reference_tridiagonal_log_abs_det,
 )
 
 
@@ -246,6 +248,45 @@ def test_pivot_log_abs_det_exact_zero_pivot():
     assert np.all(np.isfinite(singular)) and np.all(np.isfinite(one))
     assert singular[1] == pytest.approx(math.log(2.0), abs=1e-12)  # det [[1, 1], [1, -1]] = -2
     assert singular[0] < -1000.0 and one[0] < -700.0  # log of a vanishing determinant
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 600])
+@pytest.mark.parametrize("x", [3.0, -2.5, 0.3, -1.0])
+def test_negative_pivots_match_eigensolve_counts(n, x):
+    # the Sturm count: eigenvalues of T below -x, inside and outside the bulk
+    diag, off = _tridiagonal_stack(n, 6, seed=300 + n)
+    got = tridiagonal_negative_pivots(diag, off, x)
+    want = [np.count_nonzero((eigvalsh_tridiagonal(d, e) if n > 1 else d) < -x) for d, e in zip(diag, off)]
+    assert got.shape == (6,)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_negative_pivots_per_sample_shifts_cover_the_spectrum():
+    diag, off = _tridiagonal_stack(200, 1, seed=8)
+    ev = eigvalsh_tridiagonal(diag[0], off[0])
+    # one shift in each gap of the spectrum, plus one beyond either end
+    cuts = np.concatenate(([ev[0] - 1.0], 0.5 * (ev[:-1] + ev[1:]), [ev[-1] + 1.0]))
+    got = tridiagonal_negative_pivots(np.repeat(diag, cuts.size, axis=0),
+                                      np.repeat(off, cuts.size, axis=0), -cuts)
+    np.testing.assert_array_equal(got, np.arange(201))
+
+
+def test_negative_pivots_count_an_exact_zero_pivot():
+    # [[0, 1], [1, 1]] has a singular leading minor and one negative eigenvalue;
+    # diag(1, 0) has a zero last pivot, replaced by -pivmin and so counted
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tridiagonal_negative_pivots([[0.0, 1.0], [1.0, 0.0]], [[1.0], [0.0]])
+    np.testing.assert_array_equal(got, [1, 1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 600])
+def test_pivot_log_abs_dets_keep_their_bits(n):
+    diag, off = _tridiagonal_stack(n, 7, seed=400 + n)
+    xs = np.array([3.0, -2.5, 0.3, -1.0, 0.0, 1.9, -0.7])
+    for x in (xs, 1.25):
+        np.testing.assert_array_equal(tridiagonal_log_abs_det(diag, off, x),
+                                      reference_tridiagonal_log_abs_det(diag, off, x))
 
 
 @pytest.mark.parametrize("method", ["dense", "tridiagonal"])
