@@ -493,7 +493,7 @@ def _measure_trial(cfg: RunConfig, model, law, trial_id: int, with_census: bool)
     except SearchFailureError as exc:
         wall = (time.perf_counter() - t0) * 1e3
         return _failed_trial(trial_id, seed, cfg, wall, f"search failure: {exc}")
-    spectrum = SpectrumSample(n=cfg.n, eigenvalues=best.eigenvalues, method="dense", seed=seed)
+    spectrum = SpectrumSample(n=cfg.n, eigenvalues=best.eigenvalues, seed=seed)
     if law is not None:
         bl = float(bl_distance(spectrum, law, resolution=cfg.tolerances.bl_resolution))
     else:

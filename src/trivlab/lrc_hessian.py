@@ -237,7 +237,7 @@ def sample_g(model, mu, rho, u, n: int, seed: int,
         z1p = cc.a_bar + math.sqrt(cc.b_sq / n) * float(z[0, 0])
         z3p = float(y)
     xi = rng.standard_normal(n - 1) * math.sqrt(-2.0 * d2_0 / n)
-    goe_vals = goe_eigenvalues(n - 1, rng, method="tridiagonal")
+    goe_vals = goe_eigenvalues(n - 1, rng)
     g_star = math.sqrt(a2) * (math.sqrt((n - 1) / n) * goe_vals - z3p)
     arrow = np.diag(np.concatenate(([z1p], g_star)))
     arrow[0, 1:] = xi
@@ -397,7 +397,7 @@ def second_moment_ratio(n: int, x: float, n_samples: int, seed: int) -> float:
     n_samples = int(n_samples)
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
-    logs = goe_log_abs_dets(n, n_samples, np.random.default_rng(seed), x, method="tridiagonal")
+    logs = goe_log_abs_dets(n, n_samples, np.random.default_rng(seed), x)
     log_e2 = float(logsumexp(2.0 * logs) - math.log(n_samples))
     log_e1 = float(logsumexp(logs) - math.log(n_samples))
     return (log_e2 - 2.0 * log_e1) / n

@@ -2,17 +2,16 @@
 
 Normalization: a GOE matrix here has entries with ``E M_ij^2 = (1 + delta_ij)
 / (2 n)``, so the empirical spectrum converges to the semicircle of radius
-sqrt(2).  The tridiagonal sampler draws the Householder-reduced form (chi
-off-diagonals, Dumitriu-Edelman) and is the default for large n; dense and
-tridiagonal samplers agree in law.
+sqrt(2).  Every draw is the Householder-reduced tridiagonal form (normal
+diagonal, chi off-diagonals; Dumitriu & Edelman 2002), which has the GOE
+eigenvalue law at every n; the dense sampler is kept only as a test oracle.
 
 Monte Carlo determinants take no eigensolve: a tridiagonal draw's
 log|det(T + x I)| is the sum of its LDL^T pivots' log magnitudes
-(:func:`tridiagonal_log_abs_det`, vectorized over a block of draws), and a
-dense draw's is one LU ``slogdet``.  :func:`goe_log_abs_dets` draws the
-samples one at a time in the same stream as :func:`goe_eigenvalues`.  The
-same pivot sweep also gives the inertia of T + x I
-(:func:`tridiagonal_negative_pivots`): the number of eigenvalues of T
+(:func:`tridiagonal_log_abs_det`, vectorized over a block of draws).
+:func:`goe_log_abs_dets` draws the samples one at a time in the same stream
+as :func:`goe_eigenvalues`.  The same pivot sweep also gives the inertia of
+T + x I (:func:`tridiagonal_negative_pivots`): the number of eigenvalues of T
 below -x, a Sturm count that decides an eigenvalue question in O(n).
 
 The mean level density is exact at every n (:func:`goe_log_density`), and
@@ -31,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DENSE_METHOD_MAX_N = 256
 # matrix entries per pivot-recurrence block: samples * n stays below this
 LOGDET_BLOCK_ENTRIES = 1 << 18
 
@@ -42,7 +40,6 @@ class SpectrumSample:
 
     n: int
     eigenvalues: np.ndarray
-    method: str
     seed: int | None = None
 
     def __post_init__(self):
@@ -92,11 +89,6 @@ class SemicircleLaw:
 
 # ------------------------------------------------------------------ sampling
 
-def _goe_dense(n: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((n, n))
-    return (g + g.T) / (2.0 * np.sqrt(n))
-
-
 def _goe_tridiagonal(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     diag = rng.standard_normal(n) / np.sqrt(n)
     if n == 1:
@@ -104,20 +96,10 @@ def _goe_tridiagonal(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.n
     return diag, np.sqrt(rng.chisquare(np.arange(n - 1, 0, -1))) / np.sqrt(2.0 * n)
 
 
-def _resolve_method(n: int, method: str) -> str:
-    if method == "auto":
-        return "dense" if n <= DENSE_METHOD_MAX_N else "tridiagonal"
-    if method in ("dense", "tridiagonal"):
-        return method
-    raise ValueError(f"unknown method {method!r}")
+def goe_eigenvalues(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Eigenvalues of one tridiagonal GOE draw from an existing generator (hot-loop path)."""
+    from scipy.linalg import eigvalsh_tridiagonal
 
-
-def goe_eigenvalues(n: int, rng: np.random.Generator, method: str = "auto") -> np.ndarray:
-    """Eigenvalues of one GOE draw using an existing generator (hot-loop path)."""
-    from scipy.linalg import eigh, eigvalsh_tridiagonal
-
-    if _resolve_method(n, method) == "dense":
-        return eigh(_goe_dense(n, rng), eigvals_only=True)
     diag, off = _goe_tridiagonal(n, rng)
     if n == 1:
         return diag
@@ -173,25 +155,17 @@ def tridiagonal_negative_pivots(diag, off, x=0.0) -> np.ndarray:
 
 
 def goe_log_abs_dets(n: int, n_samples: int, rng: np.random.Generator,
-                     shift: float | Callable[[], float], method: str = "auto") -> np.ndarray:
+                     shift: float | Callable[[], float]) -> np.ndarray:
     """log|det(M_i + x_i I)| for ``n_samples`` GOE_n draws M_i from ``rng``.
 
     ``shift`` is a fixed x, or a callable that draws x_i (from ``rng``)
     just before M_i is drawn.  Draws are taken one at a time in the stream
-    of :func:`goe_eigenvalues` with the same ``method``; dense draws are
-    reduced by ``slogdet`` one at a time, tridiagonal ones by
+    of :func:`goe_eigenvalues` and reduced by
     :func:`tridiagonal_log_abs_det` in blocks of at most
     ``LOGDET_BLOCK_ENTRIES`` matrix entries.
     """
     draw_shift = shift if callable(shift) else (lambda: shift)
     logs = np.empty(n_samples)
-    if _resolve_method(n, method) == "dense":
-        for i in range(n_samples):
-            x = draw_shift()
-            m = _goe_dense(n, rng)
-            m.flat[:: n + 1] += x
-            logs[i] = np.linalg.slogdet(m)[1]
-        return logs
     block = max(1, LOGDET_BLOCK_ENTRIES // n)
     for start in range(0, n_samples, block):
         size = min(block, n_samples - start)
@@ -205,18 +179,11 @@ def goe_log_abs_dets(n: int, n_samples: int, rng: np.random.Generator,
     return logs
 
 
-def sample_goe(n: int, seed: int, method: str = "auto") -> SpectrumSample:
-    """Draw one GOE spectrum.
-
-    ``method`` is ``dense``, ``tridiagonal`` or ``auto`` (dense up to n = 256,
-    tridiagonal beyond; both sample the same law).
-    """
+def sample_goe(n: int, seed: int) -> SpectrumSample:
+    """Draw one GOE spectrum: the tridiagonal draw of :func:`goe_eigenvalues`."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    resolved = _resolve_method(n, method)
-    ev = goe_eigenvalues(n, rng, method=resolved)
-    return SpectrumSample(n=n, eigenvalues=np.sort(ev), method=resolved, seed=seed)
+    return SpectrumSample(n=n, eigenvalues=goe_eigenvalues(n, np.random.default_rng(seed)), seed=seed)
 
 
 # --------------------------------------------------------- bounded-Lipschitz
@@ -383,13 +350,13 @@ def jackknife_se_of_log_mean(logs: np.ndarray) -> float:
     return float(np.sqrt((ns - 1) * np.var(loo)))
 
 
-def expected_abs_det_shifted_mc(n: int, x: float, n_samples: int, seed: int, method: str = "auto") -> dict:
+def expected_abs_det_shifted_mc(n: int, x: float, n_samples: int, seed: int) -> dict:
     """Monte-Carlo estimate of log E|det(GOE_n + x I)| with a jackknife SE."""
     from scipy.special import logsumexp
 
     if n_samples < 2:
         raise ValueError("need at least two samples for a jackknife SE")
-    logs = goe_log_abs_dets(n, n_samples, np.random.default_rng(seed), x, method)
+    logs = goe_log_abs_dets(n, n_samples, np.random.default_rng(seed), x)
     log_mean = float(logsumexp(logs) - np.log(n_samples))
     return {"log_mean": log_mean, "se": jackknife_se_of_log_mean(logs)}
 

@@ -209,13 +209,27 @@ def _check_census_constant_field(cfg: RunConfig, fast: bool) -> CheckResult:
 
 
 def _check_census_supercritical(cfg: RunConfig, fast: bool) -> CheckResult:
-    model = SrcCorrelator()
-    field = sample_field(model, 6, k=1024, seed=cfg.seed + 21)
-    pts = census(field, 3.0, n_starts=200 if fast else 500, seed=cfg.seed + 22)
-    sizes_ok = len(pts) == 1
-    idx_ok = pts[0].index == 0 if pts else False
-    return _result("census_supercritical_singleton", sizes_ok and idx_ok,
-                   f"census size {len(pts)}, minimum index {pts[0].index if pts else '-'}")
+    # #crit is odd (Poincare-Hopf), so a field has more than one critical point
+    # with probability at most p = (E Crt - 1) / 2, E Crt exact by quadrature.
+    # At most c of the fields may, c the least count with
+    # P(Binom(fields, p) > c) <= 1e-3: the false-alarm rate on any seed.
+    model, n, mu, fields = SrcCorrelator(), 6, 3.0, 10
+    p = (math.exp(expected_crt_quadrature(model, mu, n)) - 1.0) / 2.0
+    c = next(c for c in range(fields + 1)
+             if sum(math.comb(fields, j) * p ** j * (1.0 - p) ** (fields - j)
+                    for j in range(c + 1, fields + 1)) <= 1e-3)
+    # field and census seeds drawn from the config seed, so no two config
+    # seeds share a field
+    child = np.random.SeedSequence([cfg.seed, 21]).generate_state(2 * fields)
+    multi, no_min = 0, 0
+    for i in range(fields):
+        field = sample_field(model, n, k=1024, seed=int(child[2 * i]))
+        pts = census(field, mu, n_starts=200 if fast else 500, seed=int(child[2 * i + 1]))
+        multi += len(pts) > 1
+        no_min += not any(pt.index == 0 for pt in pts)
+    return _result("census_supercritical_singleton", multi <= c and no_min == 0,
+                   f"{multi} of {fields} censuses hold more than one point (at most {c}, "
+                   f"p = {p:.4f}); {no_min} lack an index-0 point")
 
 
 def _check_census_monotone(cfg: RunConfig, fast: bool) -> CheckResult:

@@ -233,20 +233,29 @@ def dense_bordered_eigenvalues(z1p, z3p, n, d2_0, rng):
     return np.linalg.eigvalsh(g)
 
 
+def goe_dense_eigenvalues(n, rng):
+    """Eigenvalues of one dense GOE_n draw (G + G^T) / (2 sqrt(n)), G with iid
+    N(0, 1) entries: the full-matrix ensemble itself, a law oracle for the
+    package's tridiagonal sampler."""
+    g = rng.standard_normal((n, n))
+    return np.linalg.eigvalsh((g + g.T) / (2.0 * np.sqrt(n)))
+
+
 # The eigensolve loops below are the Monte Carlo estimators as they were
 # before log-determinants came from pivots: the same draws in the same order,
 # reduced by one full spectrum per draw.
 
-def eig_log_abs_dets(n, n_samples, rng, shift, goe_eigenvalues, method="auto"):
+def eig_log_abs_dets(n, n_samples, rng, shift, goe_eigenvalues):
     """log|det(M_i + x_i I)| as sum log|lambda_k(M_i) + x_i|, one eigensolve per draw.
 
     ``shift`` is a float or a callable drawing x_i before M_i, as in
-    ``trivlab.rmt.goe_log_abs_dets``.
+    ``trivlab.rmt.goe_log_abs_dets``; ``goe_eigenvalues(n, rng)`` draws
+    and eigensolves M_i.
     """
     logs = np.empty(n_samples)
     for i in range(n_samples):
         x = shift() if callable(shift) else shift
-        ev = goe_eigenvalues(n, rng, method=method)
+        ev = goe_eigenvalues(n, rng)
         with np.errstate(divide="ignore"):
             logs[i] = float(np.sum(np.log(np.abs(ev + x))))
     return logs

@@ -384,3 +384,10 @@ class TestImports:
         )
         names = set(_run_fresh(script).split())
         assert {"trivlab.cli", "trivlab.rmt", "trivlab.complexity", "trivlab.verification"} <= names
+
+    def test_all_lists_every_public_name(self):
+        # submodules become attributes of the package when imported, so they are left out
+        bound = {name for name, value in vars(trivlab).items()
+                 if not name.startswith("_") and not isinstance(value, type(trivlab))}
+        assert set(trivlab.__all__) == bound
+        assert len(trivlab.__all__) == len(bound)

@@ -490,7 +490,7 @@ class TestSecondMoment:
 
     def test_matches_eigensolve_oracle(self):
         n, x, samples = 50, 2.0, 1000
-        logs = eig_log_abs_dets(n, samples, np.random.default_rng(100), x, goe_eigenvalues, "tridiagonal")
+        logs = eig_log_abs_dets(n, samples, np.random.default_rng(100), x, goe_eigenvalues)
         log_e2 = float(logsumexp(2.0 * logs) - math.log(samples))
         log_e1 = float(logsumexp(logs) - math.log(samples))
         assert second_moment_ratio(n, x, samples, seed=100) == pytest.approx(

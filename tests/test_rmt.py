@@ -10,6 +10,7 @@ from trivlab.complexity import phi
 from trivlab.rmt import (
     SemicircleLaw,
     SpectrumSample,
+    _goe_tridiagonal,
     abs_det_identity_log_prefactor,
     bl_distance,
     expected_abs_det_shifted_formula,
@@ -26,6 +27,7 @@ from trivlab.rmt import (
 from oracles import (
     central_diff,
     eig_log_abs_dets,
+    goe_dense_eigenvalues,
     goe_density_formula,
     goe_density_tail,
     log_mean_char_poly,
@@ -36,11 +38,11 @@ from oracles import (
 # ----------------------------------------------------------------- datatypes
 
 def test_spectrum_sample_requires_sorted():
-    SpectrumSample(n=3, eigenvalues=[0.0, 0.5, 1.0], method="dense")
+    SpectrumSample(n=3, eigenvalues=[0.0, 0.5, 1.0])
     with pytest.raises(ValueError):
-        SpectrumSample(n=3, eigenvalues=[1.0, 0.5, 0.0], method="dense")
+        SpectrumSample(n=3, eigenvalues=[1.0, 0.5, 0.0])
     with pytest.raises(ValueError):
-        SpectrumSample(n=2, eigenvalues=[0.0, 0.5, 1.0], method="dense")
+        SpectrumSample(n=2, eigenvalues=[0.0, 0.5, 1.0])
 
 
 def test_semicircle_density_and_cdf():
@@ -68,24 +70,21 @@ def test_sample_goe_deterministic_and_sorted():
     s1 = sample_goe(64, seed=5)
     s2 = sample_goe(64, seed=5)
     assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
-    assert s1.method == "dense"
-    assert sample_goe(300, seed=5).method == "tridiagonal"
     assert np.all(np.diff(s1.eigenvalues) >= 0)
     with pytest.raises(ValueError):
         sample_goe(0, seed=1)
-    with pytest.raises(ValueError):
-        sample_goe(8, seed=1, method="banana")
 
 
 def test_goe_trace_second_moment_both_methods():
-    # E tr M^2 = sum_ij E M_ij^2 = 1 + (n-1)/2 under this normalization
+    # E tr M^2 = sum_ij E M_ij^2 = 1 + (n-1)/2 under this normalization, for
+    # the tridiagonal sampler and the dense oracle alike
     n, draws = 40, 400
     expected = 1.0 + (n - 1) / 2.0
-    for method in ("dense", "tridiagonal"):
+    for name, draw in (("dense", goe_dense_eigenvalues), ("tridiagonal", goe_eigenvalues)):
         rng = np.random.default_rng(11)
-        tr2 = [np.sum(goe_eigenvalues(n, rng, method=method) ** 2) for _ in range(draws)]
+        tr2 = [np.sum(draw(n, rng) ** 2) for _ in range(draws)]
         se = np.std(tr2) / np.sqrt(draws)
-        assert abs(np.mean(tr2) - expected) < 4 * se, method
+        assert abs(np.mean(tr2) - expected) < 4 * se, name
 
 
 def test_goe_edge_location():
@@ -95,8 +94,8 @@ def test_goe_edge_location():
 
 
 def test_tiny_goe_sizes():
-    assert sample_goe(1, seed=0, method="tridiagonal").eigenvalues.shape == (1,)
-    assert sample_goe(2, seed=0, method="dense").eigenvalues.shape == (2,)
+    assert sample_goe(1, seed=0).eigenvalues.shape == (1,)
+    assert sample_goe(2, seed=0).eigenvalues.shape == (2,)
 
 
 # ----------------------------------------------------------- bounded-Lipschitz
@@ -183,17 +182,20 @@ def test_goe_density_matches_two_point_closed_form():
 
 @pytest.mark.parametrize("n", [2, 3, 5, 6])
 def test_goe_density_fits_sampled_eigenvalues(n):
-    # KS test at alpha = 0.01 of one uniformly chosen eigenvalue per dense GOE_n draw
-    # (independent across draws, each distributed as rho_n); seeds fixed in advance
+    # KS test at alpha = 0.01 of one uniformly chosen eigenvalue per GOE_n draw
+    # (independent across draws, each distributed as rho_n), for the dense
+    # oracle and the package's tridiagonal sampler; seeds fixed in advance
     from scipy.stats import kstest
 
-    rng = np.random.default_rng(9100 + n)
-    picks = np.array([goe_eigenvalues(n, rng, method="dense")[rng.integers(n)] for _ in range(20000)])
     grid = np.linspace(-8.0, 8.0, 32001)
     dens = np.exp(goe_log_density(n, grid))
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
     assert abs(cdf[-1] - 1.0) < 1e-9
-    assert kstest(picks, lambda v: np.interp(v, grid, cdf)).pvalue > 0.01
+    for name, draw, seed in (("dense", goe_dense_eigenvalues, 9100 + n),
+                             ("tridiagonal", goe_eigenvalues, 9200 + n)):
+        rng = np.random.default_rng(seed)
+        picks = np.array([draw(n, rng)[rng.integers(n)] for _ in range(20000)])
+        assert kstest(picks, lambda v: np.interp(v, grid, cdf)).pvalue > 0.01, name
 
 
 def test_goe_log_density_shapes_and_validation():
@@ -289,8 +291,17 @@ def test_pivot_log_abs_dets_keep_their_bits(n):
                                       reference_tridiagonal_log_abs_det(diag, off, x))
 
 
-@pytest.mark.parametrize("method", ["dense", "tridiagonal"])
-def test_goe_log_abs_dets_follow_the_eigenvalue_stream(method, monkeypatch):
+def _full_matrix_eigenvalues(n, rng):
+    # the package's tridiagonal draw, eigensolved as a full n x n matrix
+    diag, off = _goe_tridiagonal(n, rng)
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+
+
+_EIGENSOLVES = {"dense": _full_matrix_eigenvalues, "tridiagonal": goe_eigenvalues}
+
+
+@pytest.mark.parametrize("eigensolve", ["dense", "tridiagonal"])
+def test_goe_log_abs_dets_follow_the_eigenvalue_stream(eigensolve, monkeypatch):
     # blocks of 3 samples (the last one partial) against one eigensolve per
     # draw, with a shift drawn from the same generator before each matrix
     import trivlab.rmt as rmt
@@ -304,9 +315,9 @@ def test_goe_log_abs_dets_follow_the_eigenvalue_stream(method, monkeypatch):
             return 1.2 + rng.standard_normal()
 
         if route == "pivots":
-            logs[route] = goe_log_abs_dets(30, 8, rng, shift, method)
+            logs[route] = goe_log_abs_dets(30, 8, rng, shift)
         else:
-            logs[route] = eig_log_abs_dets(30, 8, rng, shift, goe_eigenvalues, method)
+            logs[route] = eig_log_abs_dets(30, 8, rng, shift, _EIGENSOLVES[eigensolve])
         logs[route + " next"] = rng.standard_normal()
     np.testing.assert_allclose(logs["pivots"], logs["eig"], rtol=0, atol=1e-12)
     assert logs["pivots next"] == logs["eig next"]  # same number of draws taken
@@ -314,12 +325,12 @@ def test_goe_log_abs_dets_follow_the_eigenvalue_stream(method, monkeypatch):
 
 # ------------------------------------------- shifted |det| MC and formula
 
-@pytest.mark.parametrize("n, x, method", [(20, 3.0, "auto"), (50, 2.0, "tridiagonal"),
-                                          (20, -3.0, "dense"), (300, 0.5, "auto"),
-                                          (30, 0.3, "dense")])
-def test_abs_det_mc_matches_eigensolve_oracle(n, x, method):
-    res = expected_abs_det_shifted_mc(n, x, n_samples=300, seed=5, method=method)
-    logs = eig_log_abs_dets(n, 300, np.random.default_rng(5), x, goe_eigenvalues, method)
+@pytest.mark.parametrize("n, x, eigensolve", [(20, 3.0, "dense"), (50, 2.0, "tridiagonal"),
+                                              (20, -3.0, "dense"), (300, 0.5, "tridiagonal"),
+                                              (30, 0.3, "dense")])
+def test_abs_det_mc_matches_eigensolve_oracle(n, x, eigensolve):
+    res = expected_abs_det_shifted_mc(n, x, n_samples=300, seed=5)
+    logs = eig_log_abs_dets(n, 300, np.random.default_rng(5), x, _EIGENSOLVES[eigensolve])
     log_mean = float(np.logaddexp.reduce(logs) - math.log(300))
     assert res["log_mean"] == pytest.approx(log_mean, abs=1e-12)
     assert res["se"] == pytest.approx(jackknife_se_of_log_mean(logs), abs=1e-12)
