@@ -49,10 +49,10 @@ CENSUS_VERIFY_TOL = 1e-9
 SHIFT_RUNGS = 60
 # fewest starts a census accepts
 CENSUS_MIN_STARTS = 10
-# a census line-search probe is rejected from its float32 gradient norm only
-# when that norm exceeds the float64 Armijo bound by this times
-# (|grad| + sqrt(N)); the float32 error is about 1% of that margin
-SCREEN_MARGIN = 1e-4
+# a census start leaves the mixed-precision search for the float64 polish at
+# |grad| <= this times sqrt(N); the mixed gradient error is at most 1e-4
+# (N <= 200, out to 3 radii + 1), over 140 times below it
+FLOAT64_SWITCH = 1e-3
 
 # calibrated at desk scale (N around 200, K = 8192, 50 trials); the limit
 # statements carry no convergence rates, so these are not derived quantities
@@ -233,29 +233,30 @@ def _minimize_from(field, mu, x0, grad_tol, counts, max_iter=200):
     return x, value, gradient, float(np.linalg.norm(gradient)) <= grad_tol
 
 
-def _newton_root_batch(field, mu, x0s, grad_tol, step_cap, max_iter=100):
+def _newton_root_batch(field, mu, xs, grad_tol, step_cap, dtype, counts, max_iter=100):
     """Guarded Newton on grad H = 0 for a batch of starts; finds saddles too.
 
     The search direction is the exact (unmodified) Newton direction, so
     index >= 1 points attract full steps just like minima; the backtracking
     guard on |grad| only shortens steps far from any root, where raw
-    Newton would wander in an indefinite landscape.  Each line-search probe
-    is first screened in float32: a probe whose float32 |grad| exceeds the
-    Armijo bound by SCREEN_MARGIN * (|grad| + sqrt(N)), about a hundred
-    times the float32 error, is rejected; every other probe is evaluated
-    and decided in float64.  Returns (points, converged mask, counts) in
-    start order; counts tallies how the unconverged starts were retired
-    (stalled, exhausted, singular, unfinished) and how probes were decided
-    (screened, float64).
+    Newton would wander in an indefinite landscape.  Gradients and Hessians
+    are evaluated at points of ``dtype``, float32 selecting the mixed
+    kernel.  Moves the rows of xs in place and returns the mask of rows with
+    |grad| <= grad_tol; counts tallies how the other rows were retired
+    (stalled, exhausted, singular, unfinished) and the rows evaluated.
     """
-    xs = np.array(x0s, dtype=float)
     s, n = xs.shape
-    _, gs, _ = _evaluate(field, mu, xs, gradient=True)
+    rows_key = "mixed_rows" if dtype == np.float32 else "float64_rows"
+
+    def evaluate(points, **parts):
+        counts[rows_key] += len(points)
+        return _evaluate(field, mu, points.astype(dtype), **parts)
+
+    _, gs, _ = evaluate(xs, gradient=True)
     gn = np.linalg.norm(gs, axis=1)
     active = np.ones(s, dtype=bool)
     t_warm = np.ones(s)  # last useful step length per start
     history = np.empty((8, s))  # |grad| of the last 8 iterations, row it % 8
-    counts = dict.fromkeys(("stalled", "exhausted", "singular", "screened", "float64"), 0)
     for it in range(max_iter):
         active &= gn > grad_tol
         if it >= 8:
@@ -268,7 +269,7 @@ def _newton_root_batch(field, mu, x0s, grad_tol, step_cap, max_iter=100):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        _, _, hs = _evaluate(field, mu, xs[idx], hessian=True)
+        _, _, hs = evaluate(xs[idx], hessian=True)
         try:
             steps = np.linalg.solve(hs, -gs[idx][:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -298,34 +299,23 @@ def _newton_root_batch(field, mu, x0s, grad_tol, step_cap, max_iter=100):
                 break
             rows = idx[trying]
             x_new = xs[rows] + t[trying, None] * steps[trying]
-            bound = (1.0 - 1e-4 * t[trying]) * gn[rows]
-            _, g32, _ = _evaluate(field, mu, x_new.astype(np.float32), gradient=True)
-            gn32 = np.linalg.norm(g32, axis=1).astype(float)
-            # written so that a NaN screen sends the probe to float64
-            exact = ~(gn32 > bound + SCREEN_MARGIN * (gn32 + math.sqrt(n)))
-            n_exact = int(np.count_nonzero(exact))
-            counts["screened"] += trying.size - n_exact
-            counts["float64"] += n_exact
-            accept = np.zeros(trying.size, dtype=bool)
-            if n_exact:
-                _, g_new, _ = _evaluate(field, mu, x_new[exact], gradient=True)
-                gn_new = np.linalg.norm(g_new, axis=1)
-                ok = gn_new <= bound[exact]
-                accept[exact] = ok
-                acc_rows = rows[accept]
-                xs[acc_rows] = x_new[accept]
-                gs[acc_rows] = g_new[ok]
-                gn[acc_rows] = gn_new[ok]
-                t_warm[acc_rows] = np.minimum(1.0, 4.0 * t[trying[accept]])
-                pending[trying[accept]] = False
+            _, g_new, _ = evaluate(x_new, gradient=True)
+            gn_new = np.linalg.norm(g_new, axis=1)
+            accept = gn_new <= (1.0 - 1e-4 * t[trying]) * gn[rows]
+            acc_rows = rows[accept]
+            xs[acc_rows] = x_new[accept]
+            gs[acc_rows] = g_new[accept]
+            gn[acc_rows] = gn_new[accept]
+            t_warm[acc_rows] = np.minimum(1.0, 4.0 * t[trying[accept]])
+            pending[trying[accept]] = False
             t[trying[~accept]] *= 0.5
         # starts whose line search exhausted are stalled at a non-root
         # stationary point of |grad|; retire them as failed
         counts["exhausted"] += int(np.count_nonzero(pending))
         active[idx[pending]] = False
     converged = gn <= grad_tol
-    counts["unfinished"] = int(np.count_nonzero(active & ~converged))
-    return xs, converged, counts
+    counts["unfinished"] += int(np.count_nonzero(active & ~converged))
+    return converged
 
 
 def _point_record(x: np.ndarray, ev, n: int, corroborated: bool) -> CriticalPointRecord:
@@ -404,7 +394,8 @@ def census(field: FieldRealization, mu: float, n_starts: int,
     Points within dedupe_tol*sqrt(N) of an earlier representative merge into
     it (the lowest start index wins, which keeps the census prefix-stable in
     n_starts).  Every retained point is re-verified to gradient norm
-    1e-9*sqrt(N); completeness is heuristic.
+    1e-9*sqrt(N); completeness is heuristic (the Morse sum and Chao1 in the
+    DEBUG ``census_counts`` record measure it).
     """
     if n_starts < CENSUS_MIN_STARTS:
         raise ValueError(f"n_starts must be at least {CENSUS_MIN_STARTS}")
@@ -419,32 +410,45 @@ def census(field: FieldRealization, mu: float, n_starts: int,
     for i in range(n_starts):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 2, i)))
         x0s[i] = _uniform_ball(rng, n, radius)
-    xs, ok, counts = _newton_root_batch(field, mu, x0s, tol, step_cap)
+    # all starts search on the mixed kernel; those reaching the switch polish in float64
+    counts = dict.fromkeys(("stalled", "exhausted", "singular", "unfinished",
+                            "mixed_rows", "float64_rows"), 0)
+    switch = FLOAT64_SWITCH * math.sqrt(n)
+    idx = np.flatnonzero(_newton_root_batch(field, mu, x0s, switch, step_cap, np.float32, counts))
+    xs = x0s[idx]
+    ok = _newton_root_batch(field, mu, xs, tol, step_cap, np.float64, counts)
+    counts["switched"] = idx.size
     # greedy dedupe in start order; the earliest start owns the cluster
     reps: list[dict] = []
-    for i in np.flatnonzero(ok):
-        x = xs[i]
+    for x in xs[ok]:
         for rep in reps:
             if float(np.linalg.norm(x - rep["x"])) <= merge_tol:
                 rep["hits"] += 1
                 break
         else:
             reps.append({"x": x, "hits": 1})
-    records = []
+    records, hits = [], []
     verify_tol = CENSUS_VERIFY_TOL * math.sqrt(n)
     for rep in reps:
         ev = eval_hamiltonian(field, mu, rep["x"])
         if float(np.linalg.norm(ev.gradient)) <= verify_tol:
             records.append(_point_record(rep["x"], ev, n, corroborated=rep["hits"] >= 3))
+            hits.append(rep["hits"])
+    # Chao1 estimate of the points no start reached, from the points hit once
+    # (f1) and twice (f2); f1 (f1 - 1) / 2 is its bias-corrected form at f2 = 0
+    f1, f2 = hits.count(1), hits.count(2)
     counts.update(starts=n_starts, converged=int(np.count_nonzero(ok)),
                   dedupe_hits=int(np.count_nonzero(ok)) - len(reps),
-                  reverify_rejects=len(reps) - len(records), points=len(records))
+                  reverify_rejects=len(reps) - len(records), points=len(records),
+                  morse_sum=sum((-1) ** p.index for p in records),
+                  chao1_unseen=f1 * f1 / (2.0 * f2) if f2 else f1 * (f1 - 1) / 2.0)
     logger.debug(
-        "census of field %(seed)d: %(starts)d starts, %(converged)d converged, "
-        "%(stalled)d stalled, %(exhausted)d line searches exhausted, %(singular)d singular, "
-        "%(unfinished)d unfinished; %(screened)d probes rejected in float32, "
-        "%(float64)d decided in float64; %(dedupe_hits)d dedupe hits, "
-        "%(reverify_rejects)d re-verify rejects, %(points)d points",
+        "census of field %(seed)d: %(starts)d starts, %(switched)d reached the float64 "
+        "switch, %(converged)d converged, %(stalled)d stalled, %(exhausted)d line searches "
+        "exhausted, %(singular)d singular, %(unfinished)d unfinished; %(mixed_rows)d mixed "
+        "and %(float64_rows)d float64 rows; %(dedupe_hits)d dedupe hits, "
+        "%(reverify_rejects)d re-verify rejects, %(points)d points, Morse sum "
+        "%(morse_sum)d, Chao1 unseen %(chao1_unseen).1f",
         dict(counts, seed=field.seed), extra={"census_counts": counts},
     )
     return records
@@ -572,19 +576,9 @@ def aggregate(records: list[TrialRecord], prediction: PredictionReport,
     }
     if not ok:
         return summary
-    observed = {
-        "energy_per_n": np.array([r.energy_per_n for r in ok]),
-        "radius_per_sqrt_n": np.array([r.radius_per_sqrt_n for r in ok]),
-        "lambda_min": np.array([r.lambda_min for r in ok]),
-        "bl_to_prediction": np.array([r.bl_to_prediction for r in ok]),
-    }
-    targets = {
-        "energy_per_n": prediction.u_star,
-        "radius_per_sqrt_n": prediction.rho_star,
-        "lambda_min": prediction.lambda_edge,
-        "bl_to_prediction": 0.0,
-    }
-    for name, vals in observed.items():
+    targets = dict(summary["prediction"], bl_to_prediction=0.0)
+    for name in DEFAULT_CHECK_TOLERANCES:
+        vals = np.array([getattr(r, name) for r in ok])
         vals = vals[np.isfinite(vals)]
         if vals.size == 0:
             continue
@@ -594,10 +588,6 @@ def aggregate(records: list[TrialRecord], prediction: PredictionReport,
         if target is None:
             continue
         err = abs(est["mean"] - target)
-        summary["checks"][name] = {
-            "target": target,
-            "abs_error": err,
-            "tolerance": tol[name],
-            "pass": bool(err <= tol[name]),
-        }
+        summary["checks"][name] = {"target": target, "abs_error": err, "tolerance": tol[name],
+                                   "pass": bool(err <= tol[name])}
     return summary

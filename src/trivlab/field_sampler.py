@@ -42,6 +42,9 @@ __all__ = [
     "exact_sample_on_points",
 ]
 
+# rows per block of a mixed-precision evaluation (float32 points)
+MIXED_BLOCK_ROWS = 256
+
 
 @dataclass(frozen=True, eq=False)
 class FieldRealization:
@@ -77,9 +80,8 @@ class FieldRealization:
 
     @cached_property
     def _float32(self) -> tuple[np.ndarray, ...]:
-        """float32 copies of (w, phases, amplitudes, xi) for float32 points."""
-        arrays = (self.w, self.phases, self.amplitudes, self.xi)
-        return tuple(_frozen(a, np.float32) for a in arrays)
+        """float32 copies of (w, phases) for mixed-precision phases and Hessians."""
+        return _frozen(self.w, np.float32), _frozen(self.phases, np.float32)
 
     def field_value(self, x) -> float:
         """X(x) without the confinement term."""
@@ -202,9 +204,12 @@ def _evaluate(field: FieldRealization, mu: float, xs: np.ndarray, *,
     The one place the feature sum is evaluated: the (S, K) phase matrix
     xs @ w.T + phases is formed once, and each requested part takes only
     the transcendentals it needs.  Returns (values (S,), gradients (S, N),
-    Hessians (S, N, N)), with None for each part not asked for.  Float32
-    points are evaluated in float32 against the realization's float32
-    copies (a cheap screen); every other input is evaluated in float64.
+    Hessians (S, N, N)), all float64, with None for each part not asked for.
+
+    Float32 points take the census search's mixed mode: phases from float32
+    w and phases, sin and cos in float32 (SIMD, about 20 times cheaper than
+    float64 libm), upcast before every sum, so all else is float64; rows go
+    in blocks, so no (S, K) float64 matrix is alive at once.
 
     ``hessian_dtype=np.float32`` assembles the Hessians of float64 points in
     float32 (``ssyrk`` against the float32 features, about half the time of
@@ -213,40 +218,48 @@ def _evaluate(field: FieldRealization, mu: float, xs: np.ndarray, *,
     float64 matrices with float32 accuracy (good for Newton directions, not
     for spectra).
 
-    A float64 row depends on the other rows of its batch only through BLAS
+    A row depends on the other rows of its batch only through BLAS
     blocking: GEMM kernels sum the tail of a batch in another order, so a
     row can differ from the same point evaluated alone in the last bits.
     The bound is 1e-13 * (1 + max|gradient entry|) per gradient entry; the
     worst seen is 1.4e-14 at |gradient| about 12 (N=6, K=1024, the first
-    100 rows of 1000 census starts).  So census results that differ only in
-    which points share a batch (the float32 screen on or off, a prefix of
-    the starts) agree to a tolerance, not bit for bit: their tests compare
-    points to 1e-12 and 1e-6 respectively.  Runs on the same
-    starts batch the same way whatever the thread count, and agree exactly.
+    100 rows of 1000 census starts).  A lone float32 row is paired with
+    itself: GEMV would round it otherwise than GEMM.  So census results on a
+    prefix of the starts agree to a tolerance, not bit for bit (1e-6 in
+    their tests).  Runs on the same starts batch the same way whatever the
+    thread count, and agree exactly.
     """
     xs = np.asarray(xs)
-    if xs.dtype == np.float32:
-        w, phases, amplitudes, xi = field._float32
-    else:
-        xs = xs.astype(float, copy=False)
-        w, phases, amplitudes, xi = field.w, field.phases, field.amplitudes, field.xi
-    phase = xs @ w.T
+    mixed = xs.dtype == np.float32
+    if mixed and len(xs) > MIXED_BLOCK_ROWS:
+        parts = [_evaluate(field, mu, xs[i:i + MIXED_BLOCK_ROWS], value=value, gradient=gradient,
+                           hessian=hessian, hessian_dtype=hessian_dtype)
+                 for i in range(0, len(xs), MIXED_BLOCK_ROWS)]
+        return tuple(None if p[0] is None else np.concatenate(p) for p in zip(*parts))
+    w, phases = field._float32 if mixed else (field.w, field.phases)
+    points = xs if mixed else xs.astype(float, copy=False)
+    xs = points.astype(float, copy=False)
+    if mixed and len(points) == 1:
+        points = np.repeat(points, 2, axis=0)
+    phase = (points @ w.T)[:len(xs)]
     phase += phases
     values = gradients = hessians = None
-    # the last transcendental taken overwrites the phases in place
+    # the last transcendental taken overwrites the phases in place; float32
+    # transcendentals are upcast before any sum
     if value or hessian:
-        weights = np.cos(phase, out=None if gradient else phase)
+        weights = np.cos(phase, out=None if gradient else phase).astype(float, copy=False)
     if gradient:
-        sines = np.sin(phase, out=phase)
-        sines *= amplitudes
-        gradients = xi - sines @ w
+        sines = np.sin(phase, out=phase).astype(float, copy=False)
+        sines *= field.amplitudes
+        gradients = field.xi - sines @ field.w
         gradients += mu * xs
     if value:
-        values = weights @ amplitudes + xs @ xi
+        values = weights @ field.amplitudes + xs @ field.xi
         values += field._offset
         values += 0.5 * mu * np.einsum("ij,ij->i", xs, xs)
     if hessian:
-        weights *= amplitudes
+        weights *= field.amplitudes
+        w = field.w
         if hessian_dtype == np.float32:
             w, weights = field._float32[0], weights.astype(np.float32)
         hessians = _hessians(w, weights).astype(float, copy=False)

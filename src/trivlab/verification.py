@@ -57,6 +57,12 @@ def _result(name: str, passed, detail: str) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
+def _seeds(cfg: RunConfig, tag: int, count: int = 1) -> list[int]:
+    """Seeds of one check from SeedSequence([cfg.seed, tag]): no two config
+    seeds share a draw, so a seed sweep is a sweep of independent trials."""
+    return [int(s) for s in np.random.SeedSequence([cfg.seed, tag]).generate_state(count)]
+
+
 # ---------------------------------------------------------------- checks
 
 def _check_config_roundtrip(cfg: RunConfig, fast: bool) -> CheckResult:
@@ -74,7 +80,7 @@ def _check_config_roundtrip(cfg: RunConfig, fast: bool) -> CheckResult:
 
 def _check_goe_semicircle(cfg: RunConfig, fast: bool) -> CheckResult:
     n = 600 if fast else 1500
-    s = sample_goe(n, seed=cfg.seed + 11)
+    s = sample_goe(n, seed=_seeds(cfg, 11)[0])
     d = bl_distance(s, SemicircleLaw())
     tol = 0.03 if fast else 0.02
     return _result("goe_semicircle_bulk", d <= tol, f"BL(GOE_{n}, semicircle) = {d:.4f} <= {tol}")
@@ -82,13 +88,13 @@ def _check_goe_semicircle(cfg: RunConfig, fast: bool) -> CheckResult:
 
 def _check_goe_edge(cfg: RunConfig, fast: bool) -> CheckResult:
     n = 600 if fast else 1500
-    s = sample_goe(n, seed=cfg.seed + 12)
+    s = sample_goe(n, seed=_seeds(cfg, 12)[0])
     err = abs(s.lambda_max - math.sqrt(2.0))
     return _result("goe_edge_location", err <= 0.1, f"|lambda_max - sqrt(2)| = {err:.4f} <= 0.1")
 
 
 def _check_bl_metric(cfg: RunConfig, fast: bool) -> CheckResult:
-    rng = np.random.default_rng(cfg.seed + 13)
+    rng = np.random.default_rng(_seeds(cfg, 13)[0])
     p = np.sort(rng.standard_normal(120))
     q = np.sort(rng.standard_normal(120))
     r = np.sort(rng.standard_normal(120) + 0.3)
@@ -108,7 +114,7 @@ def _check_abs_det_identity(cfg: RunConfig, fast: bool) -> CheckResult:
     n, x = 20, 1.2
     n_mc = 1000 if fast else 2500
     formula = expected_abs_det_shifted_formula(n, x)
-    mc = expected_abs_det_shifted_mc(n, x, n_samples=n_mc, seed=cfg.seed + 15)
+    mc = expected_abs_det_shifted_mc(n, x, n_samples=n_mc, seed=_seeds(cfg, 15)[0])
     err = abs(formula - mc["log_mean"])
     tol = max(0.05, 4.0 * mc["se"])
     return _result("abs_det_identity", err <= tol,
@@ -123,7 +129,7 @@ def _check_rate_maximizers(cfg: RunConfig, fast: bool) -> CheckResult:
     if abs(src_val - closed_src) > 1e-10 or abs(lrc_val - closed_lrc) > 1e-10:
         return _result("rate_maximizer_closed_form", False, "max value differs from closed form")
     # local optimality against a sampled cloud, on models with a full 3-d rate
-    rng = np.random.default_rng(cfg.seed + 16)
+    rng = np.random.default_rng(_seeds(cfg, 16)[0])
     mix_src = SrcCorrelator(c0=0.3, atoms=((0.7, 1.0), (0.3, 1.8)))
     pt, val = psi_src_maximizer(mix_src, 4.5)
     worst = -np.inf
@@ -143,7 +149,7 @@ def _check_rate_maximizers(cfg: RunConfig, fast: bool) -> CheckResult:
 def _check_interlacement(cfg: RunConfig, fast: bool) -> CheckResult:
     model = LrcStructure()
     rep = predictions(model, 2.0)
-    s = sample_g(model, 2.0, rep.rho_star, rep.u_star, 12, seed=cfg.seed + 17, y=rep.y_star)
+    s = sample_g(model, 2.0, rep.rho_star, rep.u_star, 12, seed=_seeds(cfg, 17)[0], y=rep.y_star)
     scale = math.sqrt(-4.0 * eval_lrc(model, 0.0, 2))
     d = np.sort(scale * (math.sqrt(11.0 / 12.0) * s.goe_eigenvalues - s.z3p))
     lam = s.eigenvalues
@@ -167,7 +173,7 @@ def _check_corner_regression(cfg: RunConfig, fast: bool) -> CheckResult:
     rep = predictions(model, 2.0)
     n_draws = 8000 if fast else 30000
     z1p, z3p = sample_corner_pairs(model, 2.0, rep.rho_star, rep.u_star, 16, n_draws,
-                                   seed=cfg.seed + 18)
+                                   seed=_seeds(cfg, 18)[0])
     center = float(np.mean(z3p))
     half = 0.02 * float(np.std(z3p))
     mask = np.abs(z3p - center) <= half
@@ -186,8 +192,8 @@ def _check_schur_dense(cfg: RunConfig, fast: bool) -> CheckResult:
     rep = predictions(model, 2.0)
     worst = 0.0
     draws = 8 if fast else 20
-    for i in range(draws):
-        s = sample_g(model, 2.0, rep.rho_star, rep.u_star, 32, seed=cfg.seed + 300 + i)
+    for seed in _seeds(cfg, 300, draws):
+        s = sample_g(model, 2.0, rep.rho_star, rep.u_star, 32, seed=seed)
         log_abs, _sign = schur_det(s)
         ev = s.eigenvalues
         dense_log = float(np.sum(np.log(np.abs(ev))))
@@ -198,8 +204,9 @@ def _check_schur_dense(cfg: RunConfig, fast: bool) -> CheckResult:
 
 def _check_census_constant_field(cfg: RunConfig, fast: bool) -> CheckResult:
     model = SrcCorrelator(c0=1.0, atoms=())
-    field = sample_field(model, 8, k=64, seed=cfg.seed + 19)
-    pts = census(field, 3.0, n_starts=10, seed=cfg.seed + 20)
+    field_seed, census_seed = _seeds(cfg, 19, 2)
+    field = sample_field(model, 8, k=64, seed=field_seed)
+    pts = census(field, 3.0, n_starts=10, seed=census_seed)
     if len(pts) != 1:
         return _result("census_constant_field", False, f"found {len(pts)} points, expected 1")
     r = float(np.linalg.norm(pts[0].x))
@@ -218,13 +225,11 @@ def _check_census_supercritical(cfg: RunConfig, fast: bool) -> CheckResult:
     c = next(c for c in range(fields + 1)
              if sum(math.comb(fields, j) * p ** j * (1.0 - p) ** (fields - j)
                     for j in range(c + 1, fields + 1)) <= 1e-3)
-    # field and census seeds drawn from the config seed, so no two config
-    # seeds share a field
-    child = np.random.SeedSequence([cfg.seed, 21]).generate_state(2 * fields)
+    child = _seeds(cfg, 21, 2 * fields)
     multi, no_min = 0, 0
     for i in range(fields):
-        field = sample_field(model, n, k=1024, seed=int(child[2 * i]))
-        pts = census(field, mu, n_starts=200 if fast else 500, seed=int(child[2 * i + 1]))
+        field = sample_field(model, n, k=1024, seed=child[2 * i])
+        pts = census(field, mu, n_starts=200 if fast else 500, seed=child[2 * i + 1])
         multi += len(pts) > 1
         no_min += not any(pt.index == 0 for pt in pts)
     return _result("census_supercritical_singleton", multi <= c and no_min == 0,
@@ -234,25 +239,18 @@ def _check_census_supercritical(cfg: RunConfig, fast: bool) -> CheckResult:
 
 def _check_census_monotone(cfg: RunConfig, fast: bool) -> CheckResult:
     model = SrcCorrelator()
-    field = sample_field(model, 6, k=512, seed=cfg.seed + 23)
-    few = census(field, 1.0, n_starts=60, seed=cfg.seed + 24)
-    many = census(field, 1.0, n_starts=150 if fast else 300, seed=cfg.seed + 24)
+    field_seed, census_seed = _seeds(cfg, 23, 2)
+    field = sample_field(model, 6, k=512, seed=field_seed)
+    few = census(field, 1.0, n_starts=60, seed=census_seed)
+    many = census(field, 1.0, n_starts=150 if fast else 300, seed=census_seed)
     grad_ok = all(p.grad_norm <= 1e-9 * math.sqrt(6.0) for p in many)
     return _result("census_monotone_in_starts", len(few) <= len(many) and grad_ok,
                    f"sizes {len(few)} <= {len(many)}; all gradients re-verified")
 
 
 def _check_minimize_prediction(cfg: RunConfig, fast: bool) -> CheckResult:
-    run = dataclasses.replace(
-        cfg,
-        model=ModelConfig(),
-        mu=3.0,
-        n=80,
-        k=3200,
-        trials=2 if fast else 5,
-        starts=3,
-        seed=cfg.seed + 25,
-    )
+    run = dataclasses.replace(cfg, model=ModelConfig(), mu=3.0, n=80, k=3200,
+                              trials=2 if fast else 5, starts=3, seed=_seeds(cfg, 25)[0])
     records = [r for r in run_trials(run) if r.status == "ok"]
     if not records:
         return _result("minimize_matches_prediction", False, "all trials failed")
@@ -271,7 +269,7 @@ def _check_lrc_edge_tail(cfg: RunConfig, fast: bool) -> CheckResult:
     # (0 of 10^5, 95% bound) at N=400, the scale of acceptance test 5, so 200
     # draws there trip on at most 0.7% of seeds
     n, trials = 400, 200
-    frac = edge_tail(LrcStructure(), 2.0, n, trials=trials, epsilon=0.2, seed=cfg.seed + 26)
+    frac = edge_tail(LrcStructure(), 2.0, n, trials=trials, epsilon=0.2, seed=_seeds(cfg, 26)[0])
     return _result("lrc_edge_no_exceedance", frac == 0.0,
                    f"edge_tail(eps=0.2) = {frac} at N={n}, {trials} trials")
 
@@ -282,9 +280,8 @@ def _check_lrc_pinned_bulk(cfg: RunConfig, fast: bool) -> CheckResult:
     law = rep.bulk_law()
     n = 200
     dists = []
-    for i in range(1 if fast else 3):
-        s = sample_g(model, 2.0, rep.rho_star, rep.u_star, n, seed=cfg.seed + 400 + i,
-                     y=rep.y_star)
+    for seed in _seeds(cfg, 400, 1 if fast else 3):
+        s = sample_g(model, 2.0, rep.rho_star, rep.u_star, n, seed=seed, y=rep.y_star)
         dists.append(bl_distance(s.eigenvalues, law))
     d = float(np.mean(dists))
     return _result("lrc_pinned_bulk_law", d <= 0.1,
@@ -307,9 +304,9 @@ def _check_count_monotone(cfg: RunConfig, fast: bool) -> CheckResult:
     # ordering is read off the exact values and each MC estimate is held to 4 SE
     model = SrcCorrelator()
     exact, mc, z = [], [], []
-    for i, n in enumerate((25, 50)):
+    for n, seed in zip((25, 50), _seeds(cfg, 7000, 2)):
         exact.append(expected_crt_quadrature(model, 3.0, n))
-        est = expected_crt_mc(model, 3.0, n, 10_000, seed=cfg.seed + 7000 + i)
+        est = expected_crt_mc(model, 3.0, n, 10_000, seed=seed)
         mc.append(est["log_value"])
         z.append((mc[-1] - exact[-1]) / est["se"])
     val50 = math.exp(mc[1])
@@ -321,7 +318,7 @@ def _check_count_monotone(cfg: RunConfig, fast: bool) -> CheckResult:
 
 def _check_simulation_determinism(cfg: RunConfig, fast: bool) -> CheckResult:
     run = dataclasses.replace(cfg, model=ModelConfig(), mu=3.0, n=40, k=1600,
-                              trials=2, starts=3, seed=cfg.seed + 28)
+                              trials=2, starts=3, seed=_seeds(cfg, 28)[0])
     a = run_trials(run)
     b = run_trials(run)
     fields = ("seed", "energy_per_n", "radius_per_sqrt_n", "lambda_min", "bl_to_prediction")
@@ -339,7 +336,7 @@ def _check_drift_invariant(cfg: RunConfig, fast: bool) -> CheckResult:
     stats = []
     for n in (50, 100, 200):
         run = dataclasses.replace(cfg, model=ModelConfig(), mu=3.0, n=n, k=40 * n,
-                                  trials=10, starts=3, seed=cfg.seed + 29)
+                                  trials=10, starts=3, seed=_seeds(cfg, 29)[0])
         records = [r for r in run_trials(run) if r.status == "ok"]
         if len(records) < 8:
             return _result("drift_toward_prediction", False, f"too many failures at N={n}")

@@ -181,23 +181,27 @@ class TestCensus:
         with pytest.raises(ValueError):
             census(field, 1.0, n_starts=5, seed=0)
 
-    # (field seed, K, mu, starts): the N=6 fields of the tests above
-    FIELDS = [(5, 512, 1.0, 150), (6, 512, 1.0, 180), (7, 1024, 3.0, 120), (8, 512, 1.0, 400)]
-
-    @pytest.mark.parametrize("seed,k,mu,starts", FIELDS)
-    def test_float32_screen_changes_no_decision(self, monkeypatch, caplog, seed, k, mu, starts):
-        field = small_field(n=6, k=k, seed=seed)
-        screened = census(field, mu, n_starts=starts, seed=0)
-        # an infinite margin sends every line-search probe to float64
-        monkeypatch.setattr(experiments, "SCREEN_MARGIN", math.inf)
-        with caplog.at_level("DEBUG", logger="trivlab.experiments"):
-            exact = census(field, mu, n_starts=starts, seed=0)
-        assert caplog.records[-1].census_counts["screened"] == 0
-        assert len(screened) == len(exact)
-        for p, q in zip(screened, exact):
-            np.testing.assert_allclose(p.x, q.x, rtol=0.0, atol=1e-12)
-            assert p.corroborated == q.corroborated
+    def test_mixed_search_matches_float64_search(self, monkeypatch):
+        # an infinite switch sends every start straight to the float64 stage;
+        # at 4000 starts both searches find the same points
+        field = small_field(n=6, k=512, seed=8)
+        mixed = census(field, 1.0, n_starts=4000, seed=0)
+        monkeypatch.setattr(experiments, "FLOAT64_SWITCH", math.inf)
+        exact = census(field, 1.0, n_starts=4000, seed=0)
+        assert len(mixed) == len(exact)
+        mixed.sort(key=lambda p: p.value_per_n)
+        exact.sort(key=lambda p: p.value_per_n)
+        for p, q in zip(mixed, exact):
+            np.testing.assert_allclose(p.x, q.x, rtol=0.0, atol=1e-9)
             assert p.index == q.index
+        assert {p.index for p in mixed} == {0, 1, 2}
+
+    def test_featureless_field(self):
+        field = sample_field(SrcCorrelator(c0=1.0, atoms=()), 6, 64, seed=9)
+        assert field.k == 0
+        pts = census(field, 2.0, n_starts=20, seed=0)
+        assert len(pts) == 1 and pts[0].index == 0
+        assert np.linalg.norm(pts[0].x) <= 1e-9
 
     def test_counters_add_up(self, caplog):
         field = small_field(n=6, k=512, seed=8)
@@ -211,9 +215,13 @@ class TestCensus:
                                + c["singular"] + c["unfinished"])
         assert c["converged"] == c["points"] + c["reverify_rejects"] + c["dedupe_hits"]
         assert c["points"] == len(pts)
-        # subcritical: most starts stall far from the critical region, and the
-        # screen settles part of the probes without a float64 evaluation
-        assert c["stalled"] > 0 and c["screened"] > 0 and c["float64"] > 0
+        # subcritical: most starts stall far from the critical region, and
+        # only starts that reach the switch are evaluated in float64
+        assert c["stalled"] > 0
+        assert c["switched"] >= c["converged"] > 0
+        assert c["mixed_rows"] > c["float64_rows"] > 0
+        assert c["morse_sum"] == sum((-1) ** p.index for p in pts)
+        assert c["chao1_unseen"] >= 0.0
         assert "400 starts" in records[0].getMessage()
 
 

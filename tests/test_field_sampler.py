@@ -14,7 +14,7 @@ from trivlab import (
     exact_sample_on_points,
     sample_field,
 )
-from trivlab.experiments import SCREEN_MARGIN, _search_radius, _uniform_ball
+from trivlab.experiments import FLOAT64_SWITCH, _search_radius, _uniform_ball
 from trivlab.field_sampler import _evaluate, covariance_on_points
 
 from oracles import dense_field_hessian, lrc_pointwise_covariance
@@ -398,18 +398,20 @@ def test_featureless_field_hessian_is_the_confinement():
     assert f.k == 0
     x = np.random.default_rng(37).standard_normal(4)
     np.testing.assert_array_equal(eval_hamiltonian(f, 2.0, x).hessian, 2.0 * np.eye(4))
-    _, grads, hessians = _evaluate(f, 2.0, np.tile(x, (10, 1)), gradient=True, hessian=True)
-    np.testing.assert_array_equal(hessians, np.broadcast_to(2.0 * np.eye(4), (10, 4, 4)))
-    np.testing.assert_array_equal(grads, np.tile(2.0 * x, (10, 1)))
+    for dtype in (np.float64, np.float32):  # float32 points take the mixed mode
+        xs = np.tile(x, (10, 1)).astype(dtype)
+        _, grads, hessians = _evaluate(f, 2.0, xs, gradient=True, hessian=True)
+        np.testing.assert_array_equal(hessians, np.broadcast_to(2.0 * np.eye(4), (10, 4, 4)))
+        np.testing.assert_array_equal(grads, 2.0 * xs.astype(float))
 
 
 @pytest.mark.parametrize("model", [DEFAULT_SRC, DEFAULT_LRC], ids=["src", "lrc"])
 @pytest.mark.parametrize("n,k", [(6, 1024), (20, 2048), (50, 4096), (200, 8192)])
-def test_float32_gradient_norm_within_screen_margin(model, n, k):
-    # the census rejects a line-search probe from its float32 |grad| only
-    # beyond SCREEN_MARGIN * (|grad| + sqrt(N)); the float32 error must stay
-    # far inside that margin, inside the search ball and out to the farthest
-    # probe a capped step reaches (3 radii + 1)
+def test_mixed_gradient_error_far_below_switch(model, n, k):
+    # the census leaves the mixed kernel at |grad| <= FLOAT64_SWITCH * sqrt(N);
+    # its gradient error must stay a hundred times below that, inside the
+    # search ball and out to the farthest probe a capped step reaches
+    # (3 radii + 1)
     mu = 1.0
     field = sample_field(model, n, k, seed=n)
     radius = _search_radius(field, mu)
@@ -420,12 +422,29 @@ def test_float32_gradient_norm_within_screen_margin(model, n, k):
                         rng.uniform(radius, 3.0 * radius + 1.0, 200)])
     xs = dirs * r[:, None]
     _, g64, _ = _evaluate(field, mu, xs, gradient=True)
-    _, g32, _ = _evaluate(field, mu, xs.astype(np.float32), gradient=True)
-    assert g32.dtype == np.float32 and g64.dtype == np.float64
-    gn64 = np.linalg.norm(g64, axis=1)
-    gn32 = np.linalg.norm(g32, axis=1).astype(float)
-    margin = SCREEN_MARGIN * (gn64 + math.sqrt(n))
-    assert np.all(np.abs(gn32 - gn64) <= margin / 10)
+    _, mixed, _ = _evaluate(field, mu, xs.astype(np.float32), gradient=True)
+    assert mixed.dtype == np.float64
+    err = np.linalg.norm(mixed - g64, axis=1)
+    assert err.max() <= FLOAT64_SWITCH * math.sqrt(n) / 100
+    # Newton directions: the mixed Hessian is the float64 one to float32 accuracy
+    _, _, h64 = _evaluate(field, mu, xs[::40], hessian=True)
+    _, _, h_mixed = _evaluate(field, mu, xs[::40].astype(np.float32), hessian=True)
+    assert np.abs(h_mixed - h64).max() <= 1e-4 * np.abs(h64).max()
+
+
+@pytest.mark.parametrize("n,k", [(6, 1024), (20, 2048), (50, 4096), (200, 8192), (7, 77)])
+def test_mixed_rows_do_not_depend_on_the_batch(n, k):
+    # a one-row float32 product would go through GEMV and round differently
+    # from the blocked GEMM of a larger batch; 600 rows span three blocks
+    field = sample_field(DEFAULT_SRC, n, k, seed=n + 2)
+    xs = (np.random.default_rng(n + 3).standard_normal((600, n)) * 3.0).astype(np.float32)
+    hessian = n <= 50  # a batch of N=200 Hessians takes the slow per-point path
+    _, batch, hess = _evaluate(field, 1.0, xs, gradient=True, hessian=hessian)
+    for i in (0, 1, 255, 256, 257, 599):
+        _, alone, h_alone = _evaluate(field, 1.0, xs[i:i + 1], gradient=True, hessian=hessian)
+        assert np.abs(batch[i] - alone[0]).max() <= 1e-13 * (1.0 + np.abs(alone[0]).max())
+        if hessian:
+            assert np.abs(hess[i] - h_alone[0]).max() <= 1e-12 * (1.0 + np.abs(h_alone[0]).max())
 
 
 def test_float64_rows_depend_on_the_batch_only_in_the_last_bits():
