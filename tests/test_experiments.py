@@ -1,6 +1,8 @@
 import collections
 import dataclasses
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -181,16 +183,37 @@ class TestCensus:
         with pytest.raises(ValueError):
             census(field, 1.0, n_starts=5, seed=0)
 
-    def test_mixed_search_matches_float64_search(self, monkeypatch):
-        # an infinite switch sends every start straight to the float64 stage;
+    @staticmethod
+    @functools.cache
+    def float64_census(seed, k, mu, starts):
+        # an infinite switch sends every start straight to the float64 stage
+        with mock.patch.object(experiments, "FLOAT64_SWITCH", math.inf):
+            points = census(small_field(n=6, k=k, seed=seed), mu, n_starts=starts, seed=0)
+        return tuple(sorted(points, key=lambda p: p.value_per_n))
+
+    # (field seed, K, mu, starts): the N=6 fields of the tests above
+    FIELDS = [(5, 512, 1.0, 150), (6, 512, 1.0, 180), (7, 1024, 3.0, 120), (8, 512, 1.0, 400)]
+
+    @pytest.mark.parametrize("seed,k,mu,starts", FIELDS)
+    def test_float32_screen_changes_no_decision(self, seed, k, mu, starts):
+        # the mixed stage may steer a start into another basin, but every
+        # point it reports is one the float64 search reaches, at the same
+        # place and index; ten times the starts keep coverage out of it
+        mixed = census(small_field(n=6, k=k, seed=seed), mu, n_starts=starts, seed=0)
+        exact = self.float64_census(seed, k, mu, 10 * starts)
+        assert mixed
+        for p in mixed:
+            near = [q for q in exact if np.linalg.norm(p.x - q.x) <= 1e-9]
+            assert len(near) == 1
+            assert near[0].index == p.index
+
+    def test_mixed_search_matches_float64_search(self):
         # at 4000 starts both searches find the same points
         field = small_field(n=6, k=512, seed=8)
         mixed = census(field, 1.0, n_starts=4000, seed=0)
-        monkeypatch.setattr(experiments, "FLOAT64_SWITCH", math.inf)
-        exact = census(field, 1.0, n_starts=4000, seed=0)
+        exact = self.float64_census(8, 512, 1.0, 4000)
         assert len(mixed) == len(exact)
         mixed.sort(key=lambda p: p.value_per_n)
-        exact.sort(key=lambda p: p.value_per_n)
         for p, q in zip(mixed, exact):
             np.testing.assert_allclose(p.x, q.x, rtol=0.0, atol=1e-9)
             assert p.index == q.index
