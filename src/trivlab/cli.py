@@ -278,6 +278,8 @@ def count(config_path, seed):
 def replica(config_path, seed):
     """Fixed-overlap saddle solution for the configured model."""
     cfg = _load_config(config_path, seed)
+    if cfg.model.kind != "src":
+        raise ConfigError("replica requires model.kind: src")
     model = cfg.model.build()
     sol = replica_solve(model, cfg.mu)
     r1, r2 = replica_residuals(model, cfg.mu, sol.v, sol.Q)

@@ -7,8 +7,8 @@ Hessian bulk and lower edge), the finite-size expected count by Monte
 Carlo and by exact quadrature, and the fixed-overlap replica saddle
 equations with their edge dictionary.
 
-scipy is imported inside the Monte Carlo and quadrature functions, not at
-module import: the closed forms (``trivlab predict``) need none of it.
+scipy is imported inside the Monte Carlo, quadrature and replica functions,
+not at module import: the closed forms (``trivlab predict``) need none of it.
 """
 
 from __future__ import annotations
@@ -46,6 +46,11 @@ _HALF_LOG2 = 0.5 * math.log(2.0)
 CRT_MC_MIN_SAMPLES = 100
 # trapezoid points of expected_crt_quadrature over its integration box
 CRT_QUADRATURE_POINTS = 4001
+# smallest overlap replica_solve reports as an interior root, and the lower
+# end of its sign scan
+REPLICA_Q_FLOOR = 1e-6
+# geometric grid points of replica_solve's sign scan
+REPLICA_SCAN_POINTS = 400
 
 
 def phi(x):
@@ -484,7 +489,7 @@ class ReplicaSolution:
 
     branch is "q0" when only the identically satisfied Q = 0 branch was
     found (v is then a reporting convention) and "interior" when a
-    positive-Q root of both equations was located by Newton iteration.
+    positive-Q root of both equations was found.
     """
 
     v: float
@@ -529,25 +534,27 @@ def replica_residuals(model, mu, v, q, convention_factor=4.0):
     return r1, r2
 
 
-def _replica_mu_eff(model, mu, v, q, f):
-    b1_0 = f * eval_src(model, 0.0, 1)
-    b1_q = f * eval_src(model, q, 1)
-    b2_0 = f * eval_src(model, 0.0, 2)
-    return mu + b2_0 / mu + v * (b1_q - b1_0 - q * b2_0)
+def replica_solve(model, mu, convention_factor=4.0):
+    """Solve the fixed-overlap saddle equations for (v, Q) by elimination.
 
-
-def replica_solve(model, mu, convention_factor=4.0, q_max=10.0, n_starts=24, v0=1.0):
-    """Solve the fixed-overlap saddle equations for (v, Q).
-
-    Q = 0 satisfies both equations identically for every v, so the Q = 0
-    branch (with v fixed to the v0 convention) is always available.  A
-    damped Newton iteration on the residual pair, started from a
-    log-spaced grid of Q values in (0, q_max], searches for interior
-    roots; when one converges (residual norm below 1e-11) the interior
-    solution is returned instead.
+    Q = 0 satisfies both equations identically for every v; that branch is
+    reported with the convention v = 1.  The first equation is linear in v,
+    so v(q) = (1 - mu^2 q / (B'(q) - B'(0))) / (mu q), with B scaled by
+    convention_factor, and an interior root is a root in q of the second
+    residual at (v(q), q), divided by q.  1 - mu v q lies in (0, 1) exactly
+    when mu^2 q < B'(q) - B'(0) <= -B'(0), so every interior root lies below
+    -B'(0) / mu^2; as q -> 0 the ratio tends to mu^2 / B''(0), which is
+    (mu / mu_c)^2 at the default factor 4, so interior roots exist only
+    below mu_c.  The second residual vanishes at both ends of that range (at
+    q -> 0 on the Q = 0 branch, at the top where v -> 0), so it is divided
+    by q and its sign scanned strictly inside, on a geometric grid from
+    ``REPLICA_Q_FLOOR``; the first sign change is refined by Brent's method.
+    branch is "interior" when a root is found and "q0" otherwise.
 
     edge = mu_eff - 2 sqrt(convention_factor * B''(0)).
     """
+    from scipy.optimize import brentq
+
     if not isinstance(model, SrcCorrelator):
         raise TypeError("replica equations are formulated for SrcCorrelator models")
     mu = float(mu)
@@ -556,86 +563,35 @@ def replica_solve(model, mu, convention_factor=4.0, q_max=10.0, n_starts=24, v0=
         raise ValueError("mu must be positive")
     if f <= 0.0:
         raise ValueError("convention_factor must be positive")
-    if q_max <= 0.0:
-        raise ValueError("q_max must be positive")
 
+    b1_0 = f * eval_src(model, 0.0, 1)
     b2_0 = f * eval_src(model, 0.0, 2)
 
-    def resid(vq):
-        v, q = vq
-        if v <= 0.0 or q < 0.0 or 1.0 - mu * v * q <= 0.0:
-            return None
-        r1, r2 = replica_residuals(model, mu, v, q, convention_factor=f)
-        return np.array([r1, r2])
+    def v_of(q):
+        return (1.0 - mu * mu * q / (f * eval_src(model, q, 1) - b1_0)) / (mu * q)
 
-    def jac(vq):
-        out = np.empty((2, 2))
-        for j in range(2):
-            h = 1e-7 * (1.0 + abs(vq[j]))
-            up = vq.copy()
-            up[j] += h
-            dn = vq.copy()
-            dn[j] -= h
-            ru, rd = resid(up), resid(dn)
-            if ru is None or rd is None:
-                return None
-            out[:, j] = (ru - rd) / (2.0 * h)
-        return out
+    def reduced(q):
+        v = v_of(q)
+        if not v > 0.0:
+            return math.nan
+        return replica_residuals(model, mu, v, q, convention_factor=f)[1] / q
 
-    root = None
-    b1_0 = f * eval_src(model, 0.0, 1)
-    for q0 in np.geomspace(1e-4, q_max, int(n_starts)):
-        # Initial v from the first equation when it allows a positive value.
-        r1q = f * eval_src(model, q0, 1) - b1_0
-        if r1q > mu * mu * q0:
-            v_init = (1.0 - mu * mu * q0 / r1q) / (mu * q0)
-        else:
-            v_init = v0
-        vq = np.array([max(v_init, 1e-8), q0])
-        r = resid(vq)
-        if r is None:
-            continue
-        for _ in range(80):
-            j = jac(vq)
-            if j is None:
-                break
-            try:
-                step = np.linalg.solve(j, -r)
-            except np.linalg.LinAlgError:
-                break
-            scale = 1.0
-            improved = False
-            for _ in range(25):
-                cand = vq + scale * step
-                rc = resid(cand)
-                if rc is not None and np.linalg.norm(rc) < np.linalg.norm(r):
-                    vq, r = cand, rc
-                    improved = True
-                    break
-                scale *= 0.5
-            if not improved:
-                break
-            if np.max(np.abs(r)) <= 1e-12:
-                break
-        if r is not None and np.max(np.abs(r)) <= 1e-11 and vq[1] > 1e-6:
-            root = (float(vq[0]), float(vq[1]))
-            break
-
-    if root is not None:
-        v, q = root
-        mu_eff = _replica_mu_eff(model, mu, v, q, f)
-        return ReplicaSolution(
-            v=v,
-            Q=q,
-            mu_eff=mu_eff,
-            edge=mu_eff - 2.0 * math.sqrt(b2_0),
-            branch="interior",
-        )
-    mu_eff = mu + b2_0 / mu
+    v, q, branch = 1.0, 0.0, "q0"
+    q_bound = -b1_0 / (mu * mu)
+    if q_bound > REPLICA_Q_FLOOR:
+        grid = np.geomspace(REPLICA_Q_FLOOR, q_bound, REPLICA_SCAN_POINTS)
+        values = np.array([reduced(x) for x in grid])
+        change = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+        if change.size:
+            i = int(change[0])
+            # relative tolerance only: Q falls below 1e-3 close to mu_c
+            q = float(brentq(reduced, grid[i], grid[i + 1], xtol=1e-300))
+            v, branch = v_of(q), "interior"
+    mu_eff = mu + b2_0 / mu + v * (f * eval_src(model, q, 1) - b1_0 - q * b2_0)
     return ReplicaSolution(
-        v=float(v0),
-        Q=0.0,
+        v=v,
+        Q=q,
         mu_eff=mu_eff,
         edge=mu_eff - 2.0 * math.sqrt(b2_0),
-        branch="q0",
+        branch=branch,
     )

@@ -258,6 +258,13 @@ class TestReplica:
         assert payload["edge"] == pytest.approx(1.0 / 3.0, abs=1e-10)
         assert max(abs(r) for r in payload["residuals"]) <= 1e-9
 
+    def test_lrc_model_rejected_exit_2(self, runner, tmp_path):
+        cfg_path, out = write_cfg(tmp_path, LRC_YAML)
+        res = runner.invoke(main, ["replica", "--config", cfg_path])
+        assert res.exit_code == 2
+        assert "replica requires model.kind: src" in res.output
+        assert not out.exists()
+
 
 class TestLrcEdge:
     def test_edge_table(self, runner, tmp_path):

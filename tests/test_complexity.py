@@ -533,9 +533,51 @@ def test_replica_q0_identities_and_validation():
         replica_solve(model, 0.0)
     with pytest.raises(TypeError):
         replica_solve(LrcStructure(), 3.0)
-    # subcritical run completes and reports a branch either way
     sol = replica_solve(model, 1.0)
-    assert sol.branch in ("q0", "interior")
+    assert sol.branch == "interior"
+    # no atoms: B' = 0, the admissible overlap range is empty
+    sol = replica_solve(SrcCorrelator(c0=1.0, atoms=()), 1.0)
+    assert sol.branch == "q0" and sol.Q == 0.0
+
+
+REPLICA_MODELS = {
+    "default": SrcCorrelator(),
+    "c0": SrcCorrelator(c0=0.3, atoms=((0.7, 1.0),)),
+    "two-atom": SrcCorrelator(atoms=((0.6, 0.9), (0.4, 1.7))),
+}
+
+
+@pytest.mark.parametrize("name", list(REPLICA_MODELS))
+def test_replica_interior_root_just_below_threshold(name):
+    model = REPLICA_MODELS[name]
+    thr = trivialization_threshold(model)
+    overlaps = []
+    for frac in (0.99, 0.999):
+        sol = replica_solve(model, frac * thr)
+        r1, r2 = replica_residuals(model, frac * thr, sol.v, sol.Q)
+        assert sol.branch == "interior" and sol.Q > 0.0
+        assert max(abs(r1), abs(r2)) <= 1e-12
+        assert abs(sol.edge) <= 1e-6
+        overlaps.append(sol.Q)
+    assert overlaps[1] < overlaps[0]
+
+
+# interior roots found by the earlier damped-Newton solver, all at mu <= 0.95 mu_c
+@pytest.mark.parametrize("name,mu,factor,q,v", [
+    ("default", 0.05, 4.0, 21.670729958555825, 0.910403844870199),
+    ("default", 1.0, 4.0, 1.490611375812568, 0.3481872182087375),
+    ("default", 1.9, 4.0, 0.10303343515121613, 0.2564721893732456),
+    ("default", 0.3, 1.0, 2.7974885717413165, 0.8720687124435546),
+    ("c0", 1.5, 4.0, 0.22076387269412465, 0.315473814629173),
+    ("c0", 0.3, 1.0, 2.313084812294214, 0.9654385224563111),
+    ("two-atom", 3.0, 4.0, 0.1967268837203837, 0.385235945569174),
+    ("two-atom", 1.5, 1.0, 0.19672688372038682, 0.7704718911383258),
+])
+def test_replica_reproduces_recorded_interior_roots(name, mu, factor, q, v):
+    sol = replica_solve(REPLICA_MODELS[name], mu, convention_factor=factor)
+    assert sol.branch == "interior"
+    assert sol.Q == pytest.approx(q, rel=1e-9)
+    assert sol.v == pytest.approx(v, rel=1e-9)
 
 
 def test_laplace_ratio_with_split_scales():
