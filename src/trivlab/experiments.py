@@ -1,10 +1,10 @@
 """End-to-end Monte-Carlo landscape trials.
 
 A trial samples one field realization, finds the global minimum of
-H(x) = X(x) + (mu/2)|x|^2 by multistart damped Newton descent (or a full
-critical-point census by undamped Newton root-finding on the gradient),
-measures the Hessian spectrum there, and compares the observables against
-the closed-form predictions.  Trials are embarrassingly parallel; each
+H(x) = X(x) + (mu/2)|x|^2 by multistart Newton descent (or a full
+critical-point census by Newton root-finding on the gradient; both run the
+one batched loop ``_newton_batch``), measures the Hessian spectrum there,
+and compares the observables against the closed-form predictions.  Trials are embarrassingly parallel; each
 derives its RNG streams from (base seed + trial index), so results do not
 depend on scheduling order.
 """
@@ -53,6 +53,9 @@ CENSUS_MIN_STARTS = 10
 # |grad| <= this times sqrt(N); the mixed gradient error is at most 1e-4
 # (N <= 200, out to 3 radii + 1), over 140 times below it
 FLOAT64_SWITCH = 1e-3
+# the solver counters ``_newton_batch`` accumulates for ``minimize`` and ``census``
+NEWTON_COUNTS = ("newton_steps", "probes", "max_rung", "stalled", "exhausted", "singular",
+                 "unfinished", "mixed_rows", "float64_rows")
 
 # calibrated at desk scale (N around 200, K = 8192, 50 trials); the limit
 # statements carry no convergence rates, so these are not derived quantities
@@ -168,130 +171,83 @@ def _descent_step(hess: np.ndarray, grad: np.ndarray, rung: int = 0) -> tuple[np
     return -cho_solve(fac, grad, check_finite=False), hi
 
 
-def _value_gradient(field, mu, x):
-    """float64 value and gradient of H at one point, without a Hessian."""
-    value, gradient, _ = _evaluate(field, mu, x[None, :], value=True, gradient=True)
-    return float(value[0]), gradient[0]
+def _newton_batch(field, mu, xs, grad_tol, dtype, counts, descend_above=math.inf,
+                  hessian_dtype=np.float64, max_iter=100):
+    """Guarded Newton iteration for a batch of starts; returns each row's |grad|.
 
-
-def _minimize_from(field, mu, x0, grad_tol, counts, max_iter=200):
-    """Damped Newton descent from one start; returns (x, value, gradient, converged).
-
-    Values, gradients and every acceptance test are float64.  The Newton
-    direction comes from a float32 Hessian (``_descent_step`` factors its
-    float64 upcast), formed only where a step is taken, so a start that
-    converges pays no Hessian at its last point.  The fixed point is the
-    float64 root: a float32 Hessian only bends the path, and near the root
-    each step still contracts |grad| by about the Hessian's relative error,
-    as in mixed-precision iterative refinement.  ``counts`` accumulates the
-    solver counters of ``minimize``.
-    """
-    x = np.asarray(x0, dtype=float)
-    value, gradient = _value_gradient(field, mu, x)
-    # Near a root the Armijo decrease ~|grad|^2 sinks below the rounding
-    # noise of H itself, so sufficient-decrease tests churn forever.  Once
-    # |grad| is small enough that the full Newton step is trustworthy we
-    # switch merit to the gradient norm, which has no such floor.
-    endgame = max(1e-4 * math.sqrt(field.n), 1e3 * grad_tol)
-    rung = 0
-    for _ in range(max_iter):
-        gn = float(np.linalg.norm(gradient))
-        if gn <= grad_tol:
-            return x, value, gradient, True
-        _, _, hess = _evaluate(field, mu, x[None, :], hessian=True, hessian_dtype=np.float32)
-        counts["float32_hessians"] += 1
-        step, rung = _descent_step(hess[0], gradient, rung)
-        counts["newton_steps"] += 1
-        counts["max_rung"] = max(counts["max_rung"], rung)
-        if gn <= endgame:
-            x_new = x + step
-            value_new, gradient_new = _value_gradient(field, mu, x_new)
-            if float(np.linalg.norm(gradient_new)) < gn:
-                x, value, gradient = x_new, value_new, gradient_new
-                continue
-            # Newton step did not contract the gradient; resume damping.
-            counts["endgame_rejects"] += 1
-        slope = float(gradient @ step)
-        if slope >= 0.0:  # not a descent direction; fall back to steepest descent
-            step = -gradient
-            slope = -gn * gn
-        t = 1.0
-        accepted = False
-        for _ in range(50):
-            x_new = x + t * step
-            counts["probes"] += 1
-            probe = field.field_value(x_new) + 0.5 * mu * float(x_new @ x_new)
-            if probe <= value + 1e-4 * t * slope:
-                x = x_new
-                value, gradient = _value_gradient(field, mu, x)
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            counts["exhausted"] += 1
-            break  # line search exhausted; report whatever precision we reached
-    return x, value, gradient, float(np.linalg.norm(gradient)) <= grad_tol
-
-
-def _newton_root_batch(field, mu, xs, grad_tol, step_cap, dtype, counts, max_iter=100):
-    """Guarded Newton on grad H = 0 for a batch of starts; finds saddles too.
-
-    The search direction is the exact (unmodified) Newton direction, so
-    index >= 1 points attract full steps just like minima; the backtracking
-    guard on |grad| only shortens steps far from any root, where raw
-    Newton would wander in an indefinite landscape.  Gradients and Hessians
-    are evaluated at points of ``dtype``, float32 selecting the mixed
-    kernel.  Moves the rows of xs in place and returns the mask of rows with
-    |grad| <= grad_tol; counts tallies how the other rows were retired
-    (stalled, exhausted, singular, unfinished) and the rows evaluated.
+    A row with |grad| above ``descend_above`` descends on H: the direction
+    comes from ``_descent_step`` (the shift rung kept per row), a climbing
+    one falls back to steepest descent, and the step passes the Armijo test
+    on H, backtracking from t = 1.  Every other row takes the exact Newton
+    step, so saddles attract full steps just like minima, backtracking from
+    its last useful length until |grad| drops; near a root the decrease of H
+    sinks below its rounding noise, while |grad| has no such floor.  Steps
+    are capped at 2 * ``_search_radius`` + 1.  Points are evaluated in
+    ``dtype`` (float32 selects the mixed kernel), Hessians assembled in
+    ``hessian_dtype``, and values requested only when some row descends.
+    Moves the rows of xs in place; ``counts`` (keys ``NEWTON_COUNTS``)
+    tallies steps, probes, rows and how each row short of ``grad_tol`` was
+    retired: stalled (under 1% off |grad| in 8 exact-step iterations),
+    exhausted (30 halvings rejected), singular (non-finite step) or
+    unfinished after ``max_iter`` iterations.
     """
     s, n = xs.shape
     rows_key = "mixed_rows" if dtype == np.float32 else "float64_rows"
+    step_cap = 2.0 * _search_radius(field, mu) + 1.0
 
     def evaluate(points, **parts):
         counts[rows_key] += len(points)
         return _evaluate(field, mu, points.astype(dtype), **parts)
 
-    _, gs, _ = evaluate(xs, gradient=True)
+    vs, gs, _ = evaluate(xs, value=descend_above < math.inf, gradient=True)
     gn = np.linalg.norm(gs, axis=1)
     active = np.ones(s, dtype=bool)
     t_warm = np.ones(s)  # last useful step length per start
+    rungs = np.zeros(s, dtype=int)  # last shift rung per start
     history = np.empty((8, s))  # |grad| of the last 8 iterations, row it % 8
     for it in range(max_iter):
         active &= gn > grad_tol
         if it >= 8:
             # a start that shaved less than 1% off |grad| in 8 iterations is
             # orbiting an indefinite region, not approaching a root
-            stalled = active & (gn > 0.99 * history[it % 8])
+            stalled = active & (gn <= descend_above) & (gn > 0.99 * history[it % 8])
             counts["stalled"] += int(np.count_nonzero(stalled))
             active &= ~stalled
         history[it % 8] = gn
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        _, _, hs = evaluate(xs[idx], hessian=True)
+        _, _, hs = evaluate(xs[idx], hessian=True, hessian_dtype=hessian_dtype)
+        counts["newton_steps"] += idx.size
+        descends = gn[idx] > descend_above
+        steps = np.empty((idx.size, n))
+        root = np.flatnonzero(~descends)
         try:
-            steps = np.linalg.solve(hs, -gs[idx][:, :, None])[:, :, 0]
+            steps[root] = np.linalg.solve(hs[root], -gs[idx[root]][:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            steps = np.empty((idx.size, n))
-            for j in range(idx.size):
+            for j in root:
                 try:
                     steps[j] = np.linalg.solve(hs[j], -gs[idx[j]])
                 except np.linalg.LinAlgError:
                     steps[j] = np.linalg.lstsq(hs[j], -gs[idx[j]], rcond=None)[0]
+        for j in np.flatnonzero(descends):
+            i = idx[j]
+            steps[j], rungs[i] = _descent_step(hs[j], gs[i], rungs[i])
+            counts["max_rung"] = max(counts["max_rung"], int(rungs[i]))
+            if float(gs[i] @ steps[j]) >= 0.0:
+                steps[j] = -gs[i]
         norms = np.linalg.norm(steps, axis=1)
         bad = ~np.isfinite(norms)
         if bad.any():  # singular data; retire those starts as failed
             counts["singular"] += int(np.count_nonzero(bad))
             active[idx[bad]] = False
-            idx = idx[~bad]
-            steps = steps[~bad]
-            norms = norms[~bad]
+            idx, steps, norms, descends = idx[~bad], steps[~bad], norms[~bad], descends[~bad]
             if idx.size == 0:
                 continue
         big = norms > step_cap
         steps[big] *= (step_cap / norms[big])[:, None]
-        t = t_warm[idx].copy()
+        slopes = np.einsum("ij,ij->i", gs[idx], steps)
+        t = np.where(descends, 1.0, t_warm[idx])
         pending = np.ones(idx.size, dtype=bool)
         for _ in range(30):
             trying = np.flatnonzero(pending)
@@ -299,23 +255,29 @@ def _newton_root_batch(field, mu, xs, grad_tol, step_cap, dtype, counts, max_ite
                 break
             rows = idx[trying]
             x_new = xs[rows] + t[trying, None] * steps[trying]
-            _, g_new, _ = evaluate(x_new, gradient=True)
+            down = descends[trying]
+            v_new, g_new, _ = evaluate(x_new, value=bool(down.any()), gradient=True)
+            counts["probes"] += trying.size
             gn_new = np.linalg.norm(g_new, axis=1)
             accept = gn_new <= (1.0 - 1e-4 * t[trying]) * gn[rows]
+            if v_new is not None:
+                accept[down] = (v_new[down]
+                                <= vs[rows[down]] + 1e-4 * t[trying[down]] * slopes[trying[down]])
+                vs[rows[accept]] = v_new[accept]
             acc_rows = rows[accept]
             xs[acc_rows] = x_new[accept]
             gs[acc_rows] = g_new[accept]
             gn[acc_rows] = gn_new[accept]
-            t_warm[acc_rows] = np.minimum(1.0, 4.0 * t[trying[accept]])
+            warm = accept & ~down
+            t_warm[rows[warm]] = np.minimum(1.0, 4.0 * t[trying[warm]])
             pending[trying[accept]] = False
             t[trying[~accept]] *= 0.5
         # starts whose line search exhausted are stalled at a non-root
-        # stationary point of |grad|; retire them as failed
+        # stationary point of their merit; retire them as failed
         counts["exhausted"] += int(np.count_nonzero(pending))
         active[idx[pending]] = False
-    converged = gn <= grad_tol
-    counts["unfinished"] += int(np.count_nonzero(active & ~converged))
-    return converged
+    counts["unfinished"] += int(np.count_nonzero(active & ~(gn <= grad_tol)))
+    return gn
 
 
 def _point_record(x: np.ndarray, ev, n: int, corroborated: bool) -> CriticalPointRecord:
@@ -335,51 +297,52 @@ def minimize(field: FieldRealization, mu: float, n_starts: int, seed: int,
              grad_tol: float = 1e-10) -> CriticalPointRecord:
     """Locate the global minimum of H by multistart damped Newton descent.
 
-    Starts are drawn uniformly in the coercivity ball; the lowest converged
-    value wins.  The searches take their Newton directions from float32
-    Hessians (``_minimize_from``); the winner's float64 Hessian is formed
-    once, for the spectrum, ``lambda_min`` and the index.  The record's
-    ``corroborated`` flag reports whether at least three distinct starts
-    landed on the returned point.  Solver counters go out as one DEBUG
-    record on this module's logger, with ``minimize_counts`` attached.
+    Starts are drawn uniformly in the coercivity ball and searched as one
+    batch (``_newton_batch``); the lowest converged value wins.  A start
+    descends on H until |grad| <= max(1e-4 sqrt(N), 1e3 tol), where the full
+    Newton step is trustworthy, then takes root steps.  Values, gradients
+    and acceptance tests are float64; the directions come from float32
+    Hessians, which bend the path but keep the float64 root (each step near
+    it still contracts |grad| by about their relative error).  The winner's
+    float64 Hessian gives the spectrum, ``lambda_min`` and the index;
+    ``corroborated`` reports whether at least three starts landed on it.
+    Solver counters go out as one DEBUG record on this module's logger, with
+    ``minimize_counts`` attached.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
     n = field.n
     tol = grad_tol * math.sqrt(n)
     radius = _search_radius(field, mu)
-    counts = dict.fromkeys(("newton_steps", "float32_hessians", "float64_hessians", "probes",
-                            "exhausted", "endgame_rejects", "max_rung"), 0)
-    converged = []
-    failures = []
-    for i in range(n_starts):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 1, i)))
-        x0 = _uniform_ball(rng, n, radius)
-        x, value, gradient, ok = _minimize_from(field, mu, x0, tol, counts)
-        if ok:
-            converged.append((value, i, x))
-        else:
-            failures.append((i, float(np.linalg.norm(gradient))))
+    xs = np.array([_uniform_ball(np.random.default_rng(np.random.SeedSequence((seed, 1, i))),
+                                 n, radius) for i in range(n_starts)])
+    counts = dict.fromkeys(NEWTON_COUNTS + ("float64_hessians",), 0)
+    endgame = max(1e-4 * math.sqrt(n), 1e3 * tol)
+    gn = _newton_batch(field, mu, xs, tol, np.float64, counts, descend_above=endgame,
+                       hessian_dtype=np.float32)
+    ok = np.flatnonzero(gn <= tol)
     record = None
-    if converged:
-        converged.sort(key=lambda c: (c[0], c[1]))
-        _, _, best_x = converged[0]
-        agree_tol = AGREEMENT_TOL * math.sqrt(n)
-        n_agree = sum(1 for _, _, x in converged if np.linalg.norm(x - best_x) <= agree_tol)
+    if ok.size:
+        # one row at a time, so each value has the bits of the record's own
+        # evaluation; the lowest start index breaks a tie
+        values = [_evaluate(field, mu, xs[i:i + 1], value=True)[0][0] for i in ok]
+        best_x = xs[ok[np.argmin(values)]]
+        n_agree = np.count_nonzero(np.linalg.norm(xs[ok] - best_x, axis=1)
+                                   <= AGREEMENT_TOL * math.sqrt(n))
         record = _point_record(best_x, eval_hamiltonian(field, mu, best_x), n,
                                corroborated=n_agree >= 3)
         counts["float64_hessians"] += 1
-    counts.update(starts=n_starts, converged=len(converged))
+    counts.update(starts=n_starts, converged=int(ok.size))
     logger.debug(
-        "minimize on field %(seed)d: %(starts)d starts, %(converged)d converged; "
-        "%(newton_steps)d Newton steps on %(float32_hessians)d float32 Hessians, "
-        "%(float64_hessians)d float64 Hessians; %(probes)d line-search probes, "
-        "%(exhausted)d exhausted, %(endgame_rejects)d endgame rejects; "
+        "minimize on field %(seed)d: %(starts)d starts, %(converged)d converged, "
+        "%(stalled)d stalled, %(exhausted)d line searches exhausted, %(singular)d singular, "
+        "%(unfinished)d unfinished; %(newton_steps)d Newton steps, %(probes)d line-search "
+        "probes, %(float64_rows)d float64 rows, %(float64_hessians)d float64 Hessians; "
         "highest shift rung %(max_rung)d",
         dict(counts, seed=field.seed), extra={"minimize_counts": counts},
     )
     if record is None:
-        worst = ", ".join(f"start {i}: grad {g:.3e}" for i, g in failures[:5])
+        worst = ", ".join(f"start {i}: grad {gn[i]:.3e}" for i in np.flatnonzero(gn > tol)[:5])
         raise SearchFailureError(
             f"no start converged to gradient norm {tol:.3e} out of {n_starts} ({worst})"
         )
@@ -402,7 +365,6 @@ def census(field: FieldRealization, mu: float, n_starts: int,
     n = field.n
     tol = grad_tol * math.sqrt(n)
     radius = _search_radius(field, mu)
-    step_cap = 2.0 * radius + 1.0
     merge_tol = dedupe_tol * math.sqrt(n)
     # per-start streams keyed by (seed, 2, i), so the first m starts of a
     # larger run are exactly the starts of a smaller one (prefix-stable)
@@ -411,12 +373,11 @@ def census(field: FieldRealization, mu: float, n_starts: int,
         rng = np.random.default_rng(np.random.SeedSequence((seed, 2, i)))
         x0s[i] = _uniform_ball(rng, n, radius)
     # all starts search on the mixed kernel; those reaching the switch polish in float64
-    counts = dict.fromkeys(("stalled", "exhausted", "singular", "unfinished",
-                            "mixed_rows", "float64_rows"), 0)
+    counts = dict.fromkeys(NEWTON_COUNTS, 0)
     switch = FLOAT64_SWITCH * math.sqrt(n)
-    idx = np.flatnonzero(_newton_root_batch(field, mu, x0s, switch, step_cap, np.float32, counts))
+    idx = np.flatnonzero(_newton_batch(field, mu, x0s, switch, np.float32, counts) <= switch)
     xs = x0s[idx]
-    ok = _newton_root_batch(field, mu, xs, tol, step_cap, np.float64, counts)
+    ok = _newton_batch(field, mu, xs, tol, np.float64, counts) <= tol
     counts["switched"] = idx.size
     # greedy dedupe in start order; the earliest start owns the cluster
     reps: list[dict] = []
@@ -445,8 +406,9 @@ def census(field: FieldRealization, mu: float, n_starts: int,
     logger.debug(
         "census of field %(seed)d: %(starts)d starts, %(switched)d reached the float64 "
         "switch, %(converged)d converged, %(stalled)d stalled, %(exhausted)d line searches "
-        "exhausted, %(singular)d singular, %(unfinished)d unfinished; %(mixed_rows)d mixed "
-        "and %(float64_rows)d float64 rows; %(dedupe_hits)d dedupe hits, "
+        "exhausted, %(singular)d singular, %(unfinished)d unfinished; %(newton_steps)d Newton "
+        "steps, %(probes)d line-search probes, %(mixed_rows)d mixed and %(float64_rows)d "
+        "float64 rows; %(dedupe_hits)d dedupe hits, "
         "%(reverify_rejects)d re-verify rejects, %(points)d points, Morse sum "
         "%(morse_sum)d, Chao1 unseen %(chao1_unseen).1f",
         dict(counts, seed=field.seed), extra={"census_counts": counts},

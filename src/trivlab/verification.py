@@ -254,11 +254,12 @@ def _check_census_monotone(cfg: RunConfig, fast: bool) -> CheckResult:
 
 
 def _check_minimize_prediction(cfg: RunConfig, fast: bool) -> CheckResult:
-    # fast: the mean energy of T trials has sd 1.20 / sqrt(80 T) a priori (a
-    # Poincare bound on E_min / N) and a +0.023 finite-N bias, so the 0.2 bound
-    # is 3.29 sd out (two-sided false-alarm rate 1e-3) once T >= 7
+    # the mean energy of T trials has sd 1.20 / sqrt(80 T) a priori (a Poincare
+    # bound on E_min / N) and a +0.023 finite-N bias, so a bound b is 3.29 sd
+    # out (two-sided false-alarm rate 1e-3) once (b - 0.023) sqrt(T) / 0.134
+    # >= 3.29: T >= 7 for the fast 0.2 and T >= 21 for the full 0.12
     run = dataclasses.replace(cfg, model=ModelConfig(), mu=3.0, n=80, k=3200,
-                              trials=7 if fast else 5, starts=3, seed=_seeds(cfg, 25)[0])
+                              trials=7 if fast else 21, starts=3, seed=_seeds(cfg, 25)[0])
     records = [r for r in run_trials(run) if r.status == "ok"]
     if not records:
         return _result("minimize_matches_prediction", False, "all trials failed")

@@ -176,10 +176,12 @@ def linear_shift_ladder(hess, grad, cho_factor, cho_solve):
 def float64_descent(field, mu, x0, grad_tol, eval_hamiltonian, descent_step, max_iter=200):
     """Damped Newton descent with a float64 Hessian at every iterate.
 
-    The reference for the mixed-precision search of ``minimize``: the same
-    endgame, Armijo line search and shift ladder (``descent_step``), with
-    the Newton direction from the full float64 evaluation at each accepted
-    point.  Returns (x, HamiltonianEval, converged, Newton steps).
+    The reference for the minimum that the mixed-precision search of
+    ``minimize`` reaches, not for its path: one start at a time, the same
+    shift ladder (``descent_step``) and Armijo test on H, an undamped
+    endgame on |grad|, and the Newton direction from the full float64
+    evaluation at each accepted point.  Returns (x, HamiltonianEval,
+    converged, Newton steps).
     """
     x = np.asarray(x0, dtype=float)
     ev = eval_hamiltonian(field, mu, x)

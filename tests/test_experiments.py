@@ -77,13 +77,14 @@ class TestMinimize:
         assert len(records) == 1
         c = records[0].minimize_counts
         assert c["starts"] == 4 and 1 <= c["converged"] <= 4
-        # one float64 Hessian per call, at the winner; one float32 Hessian
-        # per Newton step and none anywhere else
+        # every start is retired exactly once, as in the census
+        assert c["starts"] == (c["converged"] + c["stalled"] + c["exhausted"]
+                               + c["singular"] + c["unfinished"])
+        # one float64 Hessian per call, at the winner; the search points are float64
         assert c["float64_hessians"] == 1
-        assert c["float32_hessians"] == c["newton_steps"] > 0
-        assert c["probes"] > 0
+        assert c["newton_steps"] > 0 and c["probes"] >= c["newton_steps"]
+        assert c["float64_rows"] > 0 and c["mixed_rows"] == 0
         assert 0 <= c["max_rung"] < SHIFT_RUNGS
-        assert c["exhausted"] >= 0 and c["endgame_rejects"] >= 0
         assert "4 starts" in records[0].getMessage()
 
     def test_failed_search_still_logs_its_counters(self, caplog):
@@ -93,7 +94,8 @@ class TestMinimize:
                 minimize(field, 3.0, n_starts=1, seed=0, grad_tol=1e-300)
         c = caplog.records[-1].minimize_counts
         assert c["converged"] == 0 and c["float64_hessians"] == 0
-        assert c["float32_hessians"] == c["newton_steps"] > 0
+        assert c["newton_steps"] > 0
+        assert c["stalled"] + c["exhausted"] + c["singular"] + c["unfinished"] == 1
 
 
 class TestMixedPrecision:
@@ -114,16 +116,20 @@ class TestMixedPrecision:
         field = sample_field(model, n, k, seed)
         best = minimize(field, mu, self.STARTS, seed)
         tol = 1e-10 * math.sqrt(n)
+        endgame = max(1e-4 * math.sqrt(n), 1e3 * tol)  # minimize's switch to the root step
         radius = experiments._search_radius(field, mu)
         found = []
         for i in range(self.STARTS):
             rng = np.random.default_rng(np.random.SeedSequence((seed, 1, i)))
             x0 = experiments._uniform_ball(rng, n, radius)
             counts = collections.Counter()
-            _, _, _, ok = experiments._minimize_from(field, mu, x0, tol, counts)
+            xs = x0[None, :].copy()
+            gn = experiments._newton_batch(field, mu, xs, tol, np.float64, counts,
+                                           descend_above=endgame, hessian_dtype=np.float32)
             x, ev, oracle_ok, oracle_steps = float64_descent(
                 field, mu, x0, tol, eval_hamiltonian, _descent_step)
-            assert ok and oracle_ok
+            assert gn[0] <= tol and oracle_ok
+            assert np.linalg.norm(xs[0] - x) <= 1e-8 * math.sqrt(n), i
             assert counts["newton_steps"] <= oracle_steps + 2, i
             found.append((ev.value, i, x, ev))
         value, _, x, ev = min(found, key=lambda f: (f[0], f[1]))
@@ -132,6 +138,24 @@ class TestMixedPrecision:
         np.testing.assert_allclose(best.eigenvalues, np.linalg.eigvalsh(ev.hessian),
                                    rtol=0.0, atol=1e-7)
         assert best.index == 0
+
+
+class TestMinimizeAgreesWithCensus:
+    """Both step rules of ``_newton_batch`` on one field: descent and root."""
+
+    # (model, mu, field seed), N = 6, K = 1024, fixed before the first run
+    FIELDS = [(SRC, 1.0, 1000), (SRC, 1.0, 7300), (SRC, 3.0, 7), (LrcStructure(), 1.0, 7200)]
+
+    @pytest.mark.parametrize("model,mu,seed", FIELDS,
+                             ids=["src-1-1000", "src-1-7300", "src-3-7", "lrc-1-7200"])
+    def test_minimize_finds_the_lowest_census_minimum(self, model, mu, seed):
+        field = sample_field(model, 6, 1024, seed)
+        best = minimize(field, mu, n_starts=8, seed=seed)
+        lowest = min((p for p in census(field, mu, n_starts=4000, seed=seed) if p.index == 0),
+                     key=lambda p: p.value_per_n)
+        assert best.index == 0
+        assert np.linalg.norm(best.x - lowest.x) <= 1e-9
+        assert best.value_per_n == pytest.approx(lowest.value_per_n, rel=0.0, abs=1e-12)
 
 
 class TestCensus:
