@@ -2,11 +2,11 @@
 
 A trial samples one field realization, finds the global minimum of
 H(x) = X(x) + (mu/2)|x|^2 by multistart Newton descent (or a full
-critical-point census by Newton root-finding on the gradient; both run the
-one batched loop ``_newton_batch``), measures the Hessian spectrum there,
-and compares the observables against the closed-form predictions.  Trials are embarrassingly parallel; each
-derives its RNG streams from (base seed + trial index), so results do not
-depend on scheduling order.
+critical-point census by Newton root-finding on the gradient, in the same
+batched loop), measures the Hessian spectrum there, and compares the
+observables against the closed-form predictions.  Trials are
+embarrassingly parallel; each derives its RNG streams from (base seed +
+trial index), so results do not depend on scheduling order.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ CENSUS_MIN_STARTS = 10
 # (N <= 200, out to 3 radii + 1), over 140 times below it
 FLOAT64_SWITCH = 1e-3
 # the solver counters ``_newton_batch`` accumulates for ``minimize`` and ``census``
-NEWTON_COUNTS = ("newton_steps", "probes", "max_rung", "stalled", "exhausted", "singular",
-                 "unfinished", "mixed_rows", "float64_rows")
+NEWTON_COUNTS = ("newton_steps", "probes", "stalled", "exhausted", "singular", "unfinished",
+                 "mixed_rows", "float64_rows")
 
 # calibrated at desk scale (N around 200, K = 8192, 50 trials); the limit
 # statements carry no convergence rates, so these are not derived quantities
@@ -175,67 +175,73 @@ def _newton_batch(field, mu, xs, grad_tol, dtype, counts, descend_above=math.inf
                   hessian_dtype=np.float64, max_iter=100):
     """Guarded Newton iteration for a batch of starts; returns each row's |grad|.
 
-    A row with |grad| above ``descend_above`` descends on H: the direction
-    comes from ``_descent_step`` (the shift rung kept per row), a climbing
-    one falls back to steepest descent, and the step passes the Armijo test
-    on H, backtracking from t = 1.  Every other row takes the exact Newton
-    step, so saddles attract full steps just like minima, backtracking from
-    its last useful length until |grad| drops; near a root the decrease of H
-    sinks below its rounding noise, while |grad| has no such floor.  Steps
-    are capped at 2 * ``_search_radius`` + 1.  Points are evaluated in
+    With ``descend_above`` finite (``minimize``), directions come from
+    ``_descent_step`` (the shift rung kept per row) and a row descends on H:
+    a climbing direction falls back to steepest descent, and the step
+    passes the Armijo test on H, backtracking from t = 1.  A row takes the
+    root step only at |grad| <= ``descend_above`` with an unshifted (rung 0)
+    direction, the exact Newton step, so saddles repel it.  With
+    ``descend_above`` infinite (``census``) every row takes the root step,
+    the exact Newton step, which saddles attract like minima; it backtracks
+    from its last useful length until |grad| drops (near a root the
+    decrease of H sinks below its rounding noise; |grad| has no such floor).
+    Steps are capped at 2 * ``_search_radius`` + 1.  Points are evaluated in
     ``dtype`` (float32 selects the mixed kernel), Hessians assembled in
-    ``hessian_dtype``, and values requested only when some row descends.
-    Moves the rows of xs in place; ``counts`` (keys ``NEWTON_COUNTS``)
-    tallies steps, probes, rows and how each row short of ``grad_tol`` was
-    retired: stalled (under 1% off |grad| in 8 exact-step iterations),
-    exhausted (30 halvings rejected), singular (non-finite step) or
+    ``hessian_dtype``, values requested only when rows descend.  Moves xs
+    in place; ``counts`` (``NEWTON_COUNTS``, and ``max_rung`` when rows
+    descend) tallies steps, probes, rows, the highest rung and how each row
+    short of ``grad_tol`` was retired: stalled (under 1% off |grad| in 8 root
+    steps), exhausted (30 halvings rejected), singular (non-finite step) or
     unfinished after ``max_iter`` iterations.
     """
     s, n = xs.shape
     rows_key = "mixed_rows" if dtype == np.float32 else "float64_rows"
     step_cap = 2.0 * _search_radius(field, mu) + 1.0
+    descending = descend_above < math.inf
 
     def evaluate(points, **parts):
         counts[rows_key] += len(points)
         return _evaluate(field, mu, points.astype(dtype), **parts)
 
-    vs, gs, _ = evaluate(xs, value=descend_above < math.inf, gradient=True)
+    vs, gs, _ = evaluate(xs, value=descending, gradient=True)
     gn = np.linalg.norm(gs, axis=1)
     active = np.ones(s, dtype=bool)
     t_warm = np.ones(s)  # last useful step length per start
     rungs = np.zeros(s, dtype=int)  # last shift rung per start
-    history = np.empty((8, s))  # |grad| of the last 8 iterations, row it % 8
+    history = np.full((8, s), np.inf)  # |grad| of the last 8 root steps, row it % 8
     for it in range(max_iter):
         active &= gn > grad_tol
-        if it >= 8:
-            # a start that shaved less than 1% off |grad| in 8 iterations is
-            # orbiting an indefinite region, not approaching a root
-            stalled = active & (gn <= descend_above) & (gn > 0.99 * history[it % 8])
-            counts["stalled"] += int(np.count_nonzero(stalled))
-            active &= ~stalled
+        # a start that shaved less than 1% off |grad| in 8 root steps is
+        # orbiting an indefinite region, not approaching a root
+        stalled = active & (gn > 0.99 * history[it % 8])
+        counts["stalled"] += int(np.count_nonzero(stalled))
+        active &= ~stalled
         history[it % 8] = gn
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         _, _, hs = evaluate(xs[idx], hessian=True, hessian_dtype=hessian_dtype)
         counts["newton_steps"] += idx.size
-        descends = gn[idx] > descend_above
-        steps = np.empty((idx.size, n))
-        root = np.flatnonzero(~descends)
-        try:
-            steps[root] = np.linalg.solve(hs[root], -gs[idx[root]][:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            for j in root:
-                try:
-                    steps[j] = np.linalg.solve(hs[j], -gs[idx[j]])
-                except np.linalg.LinAlgError:
-                    steps[j] = np.linalg.lstsq(hs[j], -gs[idx[j]], rcond=None)[0]
-        for j in np.flatnonzero(descends):
-            i = idx[j]
-            steps[j], rungs[i] = _descent_step(hs[j], gs[i], rungs[i])
-            counts["max_rung"] = max(counts["max_rung"], int(rungs[i]))
-            if float(gs[i] @ steps[j]) >= 0.0:
-                steps[j] = -gs[i]
+        if descending:
+            steps = np.empty((idx.size, n))
+            for j, i in enumerate(idx):
+                steps[j], rungs[i] = _descent_step(hs[j], gs[i], rungs[i])
+            counts["max_rung"] = max(counts["max_rung"], int(rungs[idx].max()))
+            descends = (gn[idx] > descend_above) | (rungs[idx] > 0)
+            climbing = descends & (np.einsum("ij,ij->i", gs[idx], steps) >= 0.0)
+            steps[climbing] = -gs[idx[climbing]]
+            history[:, idx[descends]] = np.inf  # descent restarts the stall clock
+        else:
+            descends = np.zeros(idx.size, dtype=bool)
+            try:
+                steps = np.linalg.solve(hs, -gs[idx][:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                steps = np.empty((idx.size, n))
+                for j in range(idx.size):
+                    try:
+                        steps[j] = np.linalg.solve(hs[j], -gs[idx[j]])
+                    except np.linalg.LinAlgError:
+                        steps[j] = np.linalg.lstsq(hs[j], -gs[idx[j]], rcond=None)[0]
         norms = np.linalg.norm(steps, axis=1)
         bad = ~np.isfinite(norms)
         if bad.any():  # singular data; retire those starts as failed
@@ -255,12 +261,12 @@ def _newton_batch(field, mu, xs, grad_tol, dtype, counts, descend_above=math.inf
                 break
             rows = idx[trying]
             x_new = xs[rows] + t[trying, None] * steps[trying]
-            down = descends[trying]
-            v_new, g_new, _ = evaluate(x_new, value=bool(down.any()), gradient=True)
+            v_new, g_new, _ = evaluate(x_new, value=descending, gradient=True)
             counts["probes"] += trying.size
             gn_new = np.linalg.norm(g_new, axis=1)
             accept = gn_new <= (1.0 - 1e-4 * t[trying]) * gn[rows]
-            if v_new is not None:
+            down = descends[trying]
+            if descending:
                 accept[down] = (v_new[down]
                                 <= vs[rows[down]] + 1e-4 * t[trying[down]] * slopes[trying[down]])
                 vs[rows[accept]] = v_new[accept]
@@ -299,15 +305,13 @@ def minimize(field: FieldRealization, mu: float, n_starts: int, seed: int,
 
     Starts are drawn uniformly in the coercivity ball and searched as one
     batch (``_newton_batch``); the lowest converged value wins.  A start
-    descends on H until |grad| <= max(1e-4 sqrt(N), 1e3 tol), where the full
-    Newton step is trustworthy, then takes root steps.  Values, gradients
-    and acceptance tests are float64; the directions come from float32
-    Hessians, which bend the path but keep the float64 root (each step near
-    it still contracts |grad| by about their relative error).  The winner's
-    float64 Hessian gives the spectrum, ``lambda_min`` and the index;
-    ``corroborated`` reports whether at least three starts landed on it.
-    Solver counters go out as one DEBUG record on this module's logger, with
-    ``minimize_counts`` attached.
+    descends on H until |grad| <= max(1e-4 sqrt(N), 1e3 tol) at a positive
+    definite Hessian, then takes root steps.  Values, gradients and tests
+    are float64; directions come from float32 Hessians, which bend the path
+    but keep the float64 root.  The winner's float64 Hessian gives the
+    spectrum, ``lambda_min`` and the index; ``corroborated`` reports whether
+    at least three starts landed on it.  Solver counters go out as one
+    DEBUG record on this module's logger, with ``minimize_counts`` attached.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
@@ -316,10 +320,9 @@ def minimize(field: FieldRealization, mu: float, n_starts: int, seed: int,
     radius = _search_radius(field, mu)
     xs = np.array([_uniform_ball(np.random.default_rng(np.random.SeedSequence((seed, 1, i))),
                                  n, radius) for i in range(n_starts)])
-    counts = dict.fromkeys(NEWTON_COUNTS + ("float64_hessians",), 0)
-    endgame = max(1e-4 * math.sqrt(n), 1e3 * tol)
-    gn = _newton_batch(field, mu, xs, tol, np.float64, counts, descend_above=endgame,
-                       hessian_dtype=np.float32)
+    counts = dict.fromkeys(NEWTON_COUNTS + ("max_rung", "float64_hessians"), 0)
+    gn = _newton_batch(field, mu, xs, tol, np.float64, counts, hessian_dtype=np.float32,
+                       descend_above=max(1e-4 * math.sqrt(n), 1e3 * tol))
     ok = np.flatnonzero(gn <= tol)
     record = None
     if ok.size:

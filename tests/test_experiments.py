@@ -157,6 +157,26 @@ class TestMinimizeAgreesWithCensus:
         assert np.linalg.norm(best.x - lowest.x) <= 1e-9
         assert best.value_per_n == pytest.approx(lowest.value_per_n, rel=0.0, abs=1e-12)
 
+    def test_descent_leaves_every_saddle(self):
+        # minimize's rows, started 1e-6 off each census saddle, where |grad| is
+        # below descend_above, must still descend to a minimum under the saddle
+        field = sample_field(SRC, 6, 1024, 1000)
+        saddles = [p for p in census(field, 1.0, n_starts=400, seed=1000) if p.index > 0]
+        assert len(saddles) >= 5
+        rng = np.random.default_rng(1000)
+        xs = np.array([p.x for p in saddles]) + 1e-6 * rng.standard_normal((len(saddles), 6))
+        tol = 1e-10 * math.sqrt(6)
+        endgame = max(1e-4 * math.sqrt(6), 1e3 * tol)
+        assert all(np.linalg.norm(eval_hamiltonian(field, 1.0, x).gradient) <= endgame
+                   for x in xs)
+        gn = experiments._newton_batch(field, 1.0, xs, tol, np.float64, collections.Counter(),
+                                       descend_above=endgame, hessian_dtype=np.float32)
+        assert np.all(gn <= tol)
+        for x, saddle in zip(xs, saddles):
+            ev = eval_hamiltonian(field, 1.0, x)
+            assert np.linalg.eigvalsh(ev.hessian)[0] > 0.0
+            assert ev.value / 6 < saddle.value_per_n - 1e-6
+
 
 class TestCensus:
     def test_gradients_reverified(self):
